@@ -52,7 +52,6 @@ SWEEP_PARAMS = (
     "partitions",
     "replication",
     "ack_mode",
-    "confirm_window",
 )
 
 EXPORT_COLUMNS = (
@@ -82,16 +81,10 @@ class WorkloadSpec:
     replication_factor: int = 1
     delivery: Delivery = Delivery.AT_MOST_ONCE
     ack_mode: str = "1"           # log engine: "0" | "1" | "quorum"
-    confirm_window: int = -1
     duration_s: Optional[float] = None
     warmup_s: Optional[float] = None
     batching: BatchingConfig = field(
-        default_factory=lambda: BatchingConfig(
-            producer_batch_messages=10,
-            producer_batch_max_delay_s=1.0,
-            broker_batch_messages=1000,
-            broker_batch_max_delay_s=1.0,
-        )
+        default_factory=lambda: BatchingConfig(producer_batch_messages=10)
     )
     messages_per_producer: Optional[int] = None  # used by deterministic mode
     seed: int = 1
@@ -126,7 +119,6 @@ class WorkloadSpec:
             "replication_factor": self.replication_factor,
             "delivery": self.delivery.value,
             "ack_mode": self.ack_mode,
-            "confirm_window": self.confirm_window,
             "duration_s": self.duration_s,
             "warmup_s": self.warmup_s,
             "seed": self.seed,
@@ -300,10 +292,7 @@ class _ExchCtx:
                 )
                 self.engine.bind(BindingSpec(ex, qname, key=f"k{qi}"))
                 self.queues.append((ex, f"k{qi}", qname))
-        self.channels = [
-            self.engine.channel(confirm_window=spec.confirm_window)
-            for _ in range(spec.producers)
-        ]
+        self.channels = [self.engine.channel() for _ in range(spec.producers)]
         self._rotor = [0] * spec.producers
         self.consumers = []
         for w in range(spec.consumers):
@@ -474,8 +463,6 @@ def _apply_sweep(spec: WorkloadSpec, param: str, value) -> WorkloadSpec:
         if value in ("at_most_once", "at_least_once"):
             return replace(spec, delivery=Delivery(value))
         return replace(spec, ack_mode=value)
-    if param == "confirm_window":
-        return replace(spec, confirm_window=int(value))
     raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
 
 

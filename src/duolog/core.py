@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
@@ -381,6 +382,25 @@ def check_correctness(produced: Journal, consumed: Journal, qos: QoSConfig) -> C
 # --------------------------------------------------------------------------
 # the contract both engines implement
 # --------------------------------------------------------------------------
+
+@dataclass
+class SimNode:
+    """A simulated node; crash and restart flip `alive`."""
+
+    node_id: str
+    alive: bool = True
+
+
+def spin_ns(ns: int) -> None:
+    """Spend a modeled device cost: sleep for long waits, busy-wait for
+    short ones that a sleep would overshoot."""
+    if ns >= 20_000:
+        time.sleep(ns / 1e9)
+    else:
+        deadline = time.perf_counter_ns() + ns
+        while time.perf_counter_ns() < deadline:
+            pass
+
 
 class BrokerContract:
     """Lifecycle surface shared by both engines.

@@ -18,16 +18,13 @@ tier, reproducing the latency cliff of a broker that outgrows DRAM.
 
 from __future__ import annotations
 
-import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .core import BrokerContract, BrokerDown, Clock, Message, validate_message
+from .core import BrokerContract, BrokerDown, Clock, Message, SimNode, spin_ns, validate_message
 from .hashing import stable_hash64
 
 
@@ -335,9 +332,6 @@ class _Queue:
         self.spilled_ever = False
         self.available = True
 
-    def live_keys(self) -> set[tuple[str, int]]:
-        return {(e.flow, e.seq) for e in self.entries}
-
     def insert(self, entry: _Entry) -> bool:
         """Insert in per-flow seq order; duplicate live (flow, seq) keys are
         absorbed (the retransmit carries the same content)."""
@@ -367,27 +361,16 @@ class Channel:
     """Publish ordering scope.  Single-threaded by contract: one caller at a
     time per channel; distinct channels may run concurrently."""
 
-    _ids = itertools.count(1)
-
-    def __init__(self, engine: "ExchEngine", vhost: str, confirm_window: int) -> None:
-        self.id = next(Channel._ids)
+    def __init__(self, engine: "ExchEngine", vhost: str) -> None:
         self.engine = engine
         self.vhost = vhost
-        self.confirm_window = confirm_window
         self.next_publish_seq = 1
-        self.outstanding = 0
         self.tx_mode = False
         self.tx_buffer: list[tuple] = []
 
     def tx_select(self) -> None:
         self.tx_mode = True
         self.tx_buffer = []
-
-
-@dataclass
-class _SimNode:
-    node_id: str
-    alive: bool = True
 
 
 # --------------------------------------------------------------------------
@@ -421,7 +404,6 @@ class ExchEngine(BrokerContract):
         spill_read_penalty: float = 10.0,
         spill_read_ns: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
-        defects: Iterable[str] = (),
     ) -> None:
         if isinstance(nodes, int):
             node_ids = [f"n{i}" for i in range(nodes)]
@@ -429,7 +411,7 @@ class ExchEngine(BrokerContract):
             node_ids = list(nodes)
         if not node_ids:
             raise ValueError("need at least one node")
-        self.nodes: dict[str, _SimNode] = {nid: _SimNode(nid) for nid in node_ids}
+        self.nodes: dict[str, SimNode] = {nid: SimNode(nid) for nid in node_ids}
         self.vhosts: dict[str, _VHost] = {}
         self.bodies = _BodyStore()
         self.clock = clock
@@ -437,8 +419,6 @@ class ExchEngine(BrokerContract):
         self.fsync_latency_ns = fsync_latency_ns if latency_mode == "real" else 0
         self.mirror_sync_ns = mirror_sync_ns if latency_mode == "real" else 0
         self.memory_budget_bytes = memory_budget_bytes
-        self.defects = frozenset(defects)
-        self._defect_armed = "lose_confirmed" in self.defects
         self._next_tag = 1
         self._next_queue_node = 0
         self._lock = threading.RLock()
@@ -652,9 +632,9 @@ class ExchEngine(BrokerContract):
 
     # -- channels and publishing ------------------------------------------------
 
-    def channel(self, vhost: str = "/", confirm_window: int = -1) -> Channel:
+    def channel(self, vhost: str = "/") -> Channel:
         self._vhost_or_create(vhost)
-        return Channel(self, vhost, confirm_window)
+        return Channel(self, vhost)
 
     def publish(
         self,
@@ -744,31 +724,18 @@ class ExchEngine(BrokerContract):
                         self._fire_fault("before_fsync", qname)
                         entry.fsynced = True
                         if self.fsync_latency_ns:
-                            _spin_ns(self.fsync_latency_ns)
+                            spin_ns(self.fsync_latency_ns)
                     for m in q.spec.mirrors:
                         if self.nodes[m].alive:
                             entry.mirrored_on.add(m)
                             if self.mirror_sync_ns:
-                                _spin_ns(self.mirror_sync_ns)
+                                spin_ns(self.mirror_sync_ns)
                     if q.spec.mirrors and set(q.spec.mirrors) - entry.mirrored_on:
                         raise BrokerDown(f"mirror of {qname} is down")
                     self._enforce_spill(q)
                     accepted += 1
         finally:
             self.bodies.release(body_id)  # drop the staging reference
-
-        if self._defect_armed and accepted and msg.seq_no >= 2:
-            # deliberately broken build: confirm, then silently delete the
-            # entry again (mutation-testing hook)
-            self._defect_armed = False
-            for qname in sorted(queues):
-                q = vh.queues[qname]
-                with q.lock:
-                    for i, e in enumerate(q.entries):
-                        if e.flow == msg.flow_id and e.seq == msg.seq_no:
-                            q.entries.pop(i)
-                            self.bodies.release(e.body_id)
-                            break
 
         self._flow_update()
         for qname in sorted(queues):
@@ -946,7 +913,7 @@ class ExchEngine(BrokerContract):
             payload = self.bodies.unspill(entry.body_id)
             entry.spilled = False
             if self.spill_read_ns:
-                _spin_ns(self.spill_read_ns)
+                spin_ns(self.spill_read_ns)
         else:
             payload = self.bodies.get(entry.body_id)
         tag = self._next_tag
@@ -1080,7 +1047,7 @@ class ExchEngine(BrokerContract):
             raise UnknownQueue(f"{vhost}{name}")
         return q
 
-    def _node(self, node_id: str) -> _SimNode:
+    def _node(self, node_id: str) -> SimNode:
         node = self.nodes.get(node_id)
         if node is None:
             raise UnknownEntity(f"node {node_id}")
@@ -1118,10 +1085,6 @@ class ConsumerHandle:
         self.engine.nack(self.queue, tag, requeue=requeue, vhost=self.vhost)
 
 
-def load_topology_file(engine: ExchEngine, path: Path) -> None:
-    engine.load_topology(json.loads(Path(path).read_text()))
-
-
 def validate_topology(topology: dict) -> list[str]:
     """Schema-level validation of a topology mapping; returns problems."""
     problems: list[str] = []
@@ -1150,11 +1113,3 @@ def validate_topology(topology: dict) -> list[str]:
             problems.append(f"binding references unknown queue {b.get('queue')!r}")
     return problems
 
-
-def _spin_ns(ns: int) -> None:
-    if ns >= 20_000:
-        time.sleep(ns / 1e9)
-    else:
-        deadline = time.perf_counter_ns() + ns
-        while time.perf_counter_ns() < deadline:
-            pass

@@ -361,12 +361,216 @@ class _Run:
 
 
 # --------------------------------------------------------------------------
-# log engine scenario
+# the engine-neutral producer / consumer loop
 # --------------------------------------------------------------------------
 
-class _LogScenario:
+class _Scenario:
+    """What both engine adapters share: QoS-derived settings, producers,
+    start-up, fault routing and the done check.
+
+    An adapter supplies the engine: `send(batch)` hands one batch to it and
+    answers "confirmed", "nacked" or "down"; `batch_size`, `keyed` and
+    `routing_key` shape the messages; `crash_target` picks the node a
+    targetless node crash hits; `drained` says whether the consumers have
+    seen everything the engine holds."""
+
+    batch_size = 1
+    keyed = False
+    routing_key: Optional[str] = None
+
     def __init__(self, run: _Run):
         self.run = run
+        s = run.s
+        w = s.workload
+        self.at_least_once = s.qos.delivery is Delivery.AT_LEAST_ONCE
+        self.stop_and_wait = s.qos.ordering is not Ordering.NONE
+        self.payload = b"\x00" * w.record_size_bytes
+        # deliberately broken build (mutation testing), armed for one batch
+        self.lose_confirmed = "lose_confirmed" in s.defects
+        self.producers = [_Producer(self, i, w.messages_per_producer) for i in range(w.producers)]
+        self.consumers: dict = {}
+
+    def start(self) -> None:
+        run = self.run
+        run.schedule_time_faults(self.apply_fault)
+        for p in self.producers:
+            run.at(T_PRODUCE_GAP, p.step)
+        for c in self.consumers.values():
+            run.at(T_POLL_INTERVAL, c.poll)
+
+    def consumer(self, consumer_id: Optional[str]) -> "_Consumer":
+        return self.consumers.get(consumer_id) or next(iter(self.consumers.values()))
+
+    def apply_fault(self, ev: FaultEvent) -> None:
+        if ev.kind is FaultKind.CRASH_NODE:
+            target = ev.target or self.crash_target()
+            if target in self.engine.nodes:
+                self.engine.crash_node(target)
+                self.run.at(ev.down_ms * 1_000_000, self.engine.restart_node, target)
+        elif ev.kind is FaultKind.CRASH_CONSUMER:
+            self.consumer(ev.target).crash(ev.down_ms)
+        # DROP_ACK / DELAY_ACK are consulted at confirm time via run.due()
+
+    def producers_all_done(self) -> bool:
+        return all(p.done for p in self.producers)
+
+
+class _Producer:
+    """One flow's produce / confirm / retry state machine; the adapter's
+    `send` is its only contact with the engine."""
+
+    def __init__(self, scn: _Scenario, idx: int, total: int):
+        self.scn = scn
+        self.flow = f"f{idx}"
+        self.total = total
+        self.sent = 0
+        self.outstanding = 0
+        self.done = False
+
+    def step(self) -> None:
+        scn, run = self.scn, self.scn.run
+        if self.sent >= self.total:
+            self._maybe_done()
+            return
+        if scn.stop_and_wait and self.outstanding:
+            return  # confirm or retry events drive progress
+        n = min(scn.batch_size, self.total - self.sent)
+        now = run.now()
+        key = self.flow.encode() if scn.keyed else None
+        batch = tuple(
+            Message(
+                self.flow, self.sent + i, payload=scn.payload,
+                key=key, routing_key=scn.routing_key, produced_at=now,
+            )
+            for i in range(n)
+        )
+        self.sent += n
+        for m in batch:
+            run.record_produced(m)
+        self.outstanding += 1
+        self.attempt(batch, 1)
+        if not scn.stop_and_wait:
+            run.at(T_PRODUCE_GAP, self.step)
+
+    def attempt(self, batch: tuple, attempt: int) -> None:
+        scn, run = self.scn, self.scn.run
+        run.produce_attempts += 1
+        for ev in run.due("produce", run.produce_attempts, kinds={FaultKind.CRASH_NODE}):
+            scn.apply_fault(ev)
+        run.clock.t += T_HANDLE
+        if scn.lose_confirmed and batch[-1].seq_no >= 2:
+            # the last message never reaches the engine, yet the whole
+            # batch is reported confirmed
+            scn.lose_confirmed = False
+            if len(batch) > 1:
+                scn.send(batch[:-1])
+            outcome = "confirmed"
+        else:
+            outcome = scn.send(batch)
+        if outcome == "down":
+            self._no_ack(batch, attempt)
+            return
+        for m in batch:
+            run.record_handled(m)
+            if outcome == "confirmed":
+                # t3 is when the broker emits the ack; the producer may see
+                # it later (or, under ack faults, never)
+                run.phase(Phase.T3_CONFIRMED, m.flow_id, m.seq_no)
+        if outcome == "nacked" or run.due(
+            "produce", run.produce_attempts, kinds={FaultKind.DROP_ACK}
+        ):
+            self._no_ack(batch, attempt)
+            return
+        delays = run.due("produce", run.produce_attempts, kinds={FaultKind.DELAY_ACK})
+        travel = T_CONFIRM_TRAVEL + (delays[0].delay_ms * 1_000_000 if delays else 0)
+        run.at(travel, self.confirm, batch)
+        if delays and scn.at_least_once:
+            run.at(self._backoff(attempt), self.retry, batch, attempt)
+
+    def _backoff(self, attempt: int) -> int:
+        return T_RETRY_BASE * (2 ** (attempt - 1))
+
+    def _confirmed(self, batch: tuple) -> bool:
+        confirmed = self.scn.run._confirmed
+        return all((m.flow_id, m.seq_no) in confirmed for m in batch)
+
+    def _no_ack(self, batch: tuple, attempt: int) -> None:
+        run = self.scn.run
+        if not self.scn.at_least_once or attempt > run.s.retry_limit:
+            self._resolve()  # fire-and-forget or retries exhausted
+            return
+        run.at(self._backoff(attempt), self.retry, batch, attempt)
+
+    def retry(self, batch: tuple, attempt: int) -> None:
+        if self._confirmed(batch):
+            return
+        if attempt >= self.scn.run.s.retry_limit:
+            self._resolve()
+            return
+        self.attempt(batch, attempt + 1)
+
+    def confirm(self, batch: tuple) -> None:
+        if self._confirmed(batch):
+            return
+        for m in batch:
+            self.scn.run.record_confirmed(m)
+        self._resolve()
+
+    def _resolve(self) -> None:
+        self.outstanding = max(0, self.outstanding - 1)
+        self.scn.run.at(T_PRODUCE_GAP, self.step)
+        self._maybe_done()
+
+    def _maybe_done(self) -> None:
+        if self.sent >= self.total and self.outstanding <= 0:
+            self.done = True
+
+
+class _Consumer:
+    """The poll loop both engines' consumers share: a crashed consumer only
+    reschedules itself, and once every producer is done polling stops when
+    the scenario is drained or the drain deadline has passed.  Each engine
+    supplies `_poll_once`."""
+
+    def __init__(self, scn: _Scenario, consumer_id: str):
+        self.scn = scn
+        self.consumer_id = consumer_id
+        self.crashed = False
+
+    def crash(self, down_ms: int) -> None:
+        self.crashed = True
+        self.scn.run.at(down_ms * 1_000_000, self.restart)
+
+    def restart(self) -> None:
+        self.crashed = False
+
+    def poll(self) -> None:
+        if self.crashed:
+            self.scn.run.at(T_POLL_INTERVAL, self.poll)
+            return
+        self._poll_once()
+        self._reschedule()
+
+    def _poll_once(self) -> None:
+        raise NotImplementedError
+
+    def _reschedule(self) -> None:
+        run = self.scn.run
+        if self.scn.producers_all_done():
+            if run.drain_deadline is None:
+                run.drain_deadline = run.now() + run.s.drain_deadline_ms * 1_000_000
+            if (self.scn.drained() and not self.crashed) or run.now() > run.drain_deadline:
+                return
+        run.at(T_POLL_INTERVAL, self.poll)
+
+
+# --------------------------------------------------------------------------
+# log engine adapter
+# --------------------------------------------------------------------------
+
+class _LogScenario(_Scenario):
+    def __init__(self, run: _Run):
+        super().__init__(run)
         s = run.s
         topo = s.topology
         self.partitions = topo.get("partitions", 1)
@@ -378,9 +582,7 @@ class _LogScenario:
             flush_interval_messages=topo.get("flush_messages", 1000),
             flush_interval_ms=topo.get("flush_ms", 50),
         )
-        self.engine = LogEngine(
-            max(3, rf), clock=run.clock.now, defects=s.defects
-        )
+        self.engine = LogEngine(max(3, rf), clock=run.clock.now)
         self.topic = "t"
         self.engine.create_topic(
             TopicConfig(
@@ -391,47 +593,34 @@ class _LogScenario:
                 segment_bytes=topo.get("segment_bytes", 1 << 20),
             )
         )
-        self.at_least_once = s.qos.delivery is Delivery.AT_LEAST_ONCE
-        self.stop_and_wait = s.qos.ordering is not Ordering.NONE
         self.batch_size = topo.get("producer_batch", 3)
-        w = s.workload
-        self.payload = b"\x00" * w.record_size_bytes
-        self.producers = [
-            _LogProducer(self, i, w.messages_per_producer) for i in range(w.producers)
-        ]
-        members = [f"c{i}" for i in range(w.consumers)]
+        self.keyed = s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
+        members = [f"c{i}" for i in range(s.workload.consumers)]
         self.group = "g"
-        self.assignment = self.engine.assign_partitions(self.group, self.topic, members)
-        self.members = {
-            m: _LogMember(self, m, [p for p, owner in self.assignment.items() if owner == m])
+        assignment = self.engine.assign_partitions(self.group, self.topic, members)
+        self.consumers = {
+            m: _LogMember(self, m, [p for p, owner in assignment.items() if owner == m])
             for m in members
         }
         self._rotor = 0
 
-    def start(self) -> None:
-        run = self.run
-        run.schedule_time_faults(self.apply_fault)
-        for p in self.producers:
-            run.at(T_PRODUCE_GAP, p.step)
-        for m in self.members.values():
-            run.at(T_POLL_INTERVAL, m.poll)
+    def crash_target(self) -> Optional[str]:
+        return next((n for n in self.engine.node_ids() if self.engine.nodes[n].alive), None)
 
     def apply_fault(self, ev: FaultEvent) -> None:
-        run = self.run
-        if ev.kind is FaultKind.CRASH_NODE:
-            target = ev.target or next(
-                (n for n in self.engine.node_ids() if self.engine.nodes[n].alive), None
+        if ev.kind is FaultKind.DUPLICATE_DELIVER and self.at_least_once:
+            self.consumer(ev.target).rewind_once = True
+        else:
+            super().apply_fault(ev)
+
+    def send(self, batch: tuple) -> str:
+        try:
+            self.engine.append_batch(
+                self.topic, self.partition_of(batch[0]), list(batch), self.ack_mode
             )
-            if target is not None and target in self.engine.nodes:
-                self.engine.crash_node(target)
-                run.at(ev.down_ms * 1_000_000, self.engine.restart_node, target)
-        elif ev.kind is FaultKind.CRASH_CONSUMER:
-            member = self.members.get(ev.target or "") or next(iter(self.members.values()))
-            member.crash(ev.down_ms)
-        elif ev.kind is FaultKind.DUPLICATE_DELIVER and self.at_least_once:
-            member = self.members.get(ev.target or "") or next(iter(self.members.values()))
-            member.rewind_once = True
-        # DROP_ACK / DELAY_ACK are consulted at confirm time via run.due()
+        except BrokerDown:
+            return "down"
+        return "confirmed"
 
     def partition_of(self, msg: Message) -> int:
         if msg.key is not None:
@@ -439,11 +628,8 @@ class _LogScenario:
         self._rotor += 1
         return partition_for(None, self.partitions, rotation=self._rotor - 1)
 
-    def producers_all_done(self) -> bool:
-        return all(p.done for p in self.producers)
-
     def drained(self) -> bool:
-        for m in self.members.values():
+        for m in self.consumers.values():
             if m.crashed:
                 return False
             for p in m.partitions:
@@ -456,138 +642,33 @@ class _LogScenario:
         return True
 
 
-class _LogProducer:
-    def __init__(self, scn: _LogScenario, idx: int, total: int):
-        self.scn = scn
-        self.flow = f"f{idx}"
-        self.total = total
-        self.sent = 0
-        self.outstanding = 0
-        self.done = False
-        keyed = scn.run.s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
-        self.key = self.flow.encode() if keyed else None
-
-    def step(self) -> None:
-        run = self.scn.run
-        if self.sent >= self.total:
-            self._maybe_done()
-            return
-        if self.scn.stop_and_wait and self.outstanding:
-            return  # confirm or retry events drive progress
-        n = min(self.scn.batch_size, self.total - self.sent)
-        now = run.now()
-        batch = [
-            Message(
-                self.flow, self.sent + i, payload=self.scn.payload,
-                key=self.key, produced_at=now,
-            )
-            for i in range(n)
-        ]
-        self.sent += n
-        for m in batch:
-            run.record_produced(m)
-        self.outstanding += 1
-        self.attempt(batch, 1)
-        if not self.scn.stop_and_wait:
-            run.at(T_PRODUCE_GAP, self.step)
-
-    def attempt(self, batch: list[Message], attempt: int) -> None:
-        run = self.scn.run
-        run.produce_attempts += 1
-        for ev in run.due("produce", run.produce_attempts, kinds={FaultKind.CRASH_NODE}):
-            self.scn.apply_fault(ev)
-        partition = self.scn.partition_of(batch[0])
-        run.clock.t += T_HANDLE
-        try:
-            self.scn.engine.append_batch(self.scn.topic, partition, batch, self.scn.ack_mode)
-        except BrokerDown:
-            self._handle_no_ack(batch, attempt)
-            return
-        for m in batch:
-            run.record_handled(m)
-            # t3 is when the broker emits the ack; the producer may see it
-            # later (or, under ack faults, never)
-            run.phase(Phase.T3_CONFIRMED, m.flow_id, m.seq_no)
-        if run.due("produce", run.produce_attempts, kinds={FaultKind.DROP_ACK}):
-            self._handle_no_ack(batch, attempt)
-            return
-        delays = run.due("produce", run.produce_attempts, kinds={FaultKind.DELAY_ACK})
-        travel = T_CONFIRM_TRAVEL + (delays[0].delay_ms * 1_000_000 if delays else 0)
-        run.at(travel, self.confirm, tuple(batch))
-        if delays and self.scn.at_least_once:
-            run.at(self._backoff(attempt), self.retry, tuple(batch), attempt)
-
-    def _backoff(self, attempt: int) -> int:
-        return T_RETRY_BASE * (2 ** (attempt - 1))
-
-    def _handle_no_ack(self, batch: list[Message], attempt: int) -> None:
-        run = self.scn.run
-        if not self.scn.at_least_once or attempt > run.s.retry_limit:
-            self._resolve_batch()  # fire-and-forget or retries exhausted
-            return
-        run.at(self._backoff(attempt), self.retry, tuple(batch), attempt)
-
-    def retry(self, batch: tuple, attempt: int) -> None:
-        if all((m.flow_id, m.seq_no) in self.scn.run._confirmed for m in batch):
-            return
-        if attempt >= self.scn.run.s.retry_limit:
-            self._resolve_batch()
-            return
-        self.attempt(list(batch), attempt + 1)
-
-    def confirm(self, batch: tuple) -> None:
-        run = self.scn.run
-        newly = [m for m in batch if (m.flow_id, m.seq_no) not in run._confirmed]
-        if not newly:
-            return
-        for m in batch:
-            run.record_confirmed(m)
-        self._resolve_batch()
-
-    def _resolve_batch(self) -> None:
-        self.outstanding = max(0, self.outstanding - 1)
-        self.scn.run.at(T_PRODUCE_GAP, self.step)
-        self._maybe_done()
-
-    def _maybe_done(self) -> None:
-        if self.sent >= self.total and self.outstanding <= 0:
-            self.done = True
-
-
-class _LogMember:
+class _LogMember(_Consumer):
     def __init__(self, scn: _LogScenario, member_id: str, partitions: list[int]):
-        self.scn = scn
-        self.member_id = member_id
+        super().__init__(scn, member_id)
         self.partitions = partitions
         self.positions = {p: 0 for p in partitions}
-        self.crashed = False
         self.rewind_once = False
 
-    def crash(self, down_ms: int) -> None:
-        self.crashed = True
-        self.scn.run.at(down_ms * 1_000_000, self.restart)
-
     def restart(self) -> None:
-        self.crashed = False
+        super().restart()
+        self._rewind()
+
+    def _rewind(self) -> None:
         for p in self.partitions:
             self.positions[p] = self.scn.engine.committed(self.scn.group, self.scn.topic, p)
 
-    def poll(self) -> None:
-        run = self.scn.run
-        if self.crashed:
-            run.at(T_POLL_INTERVAL, self.poll)
-            return
-        at_most_once = not self.scn.at_least_once
+    def _poll_once(self) -> None:
+        scn, run = self.scn, self.scn.run
+        at_most_once = not scn.at_least_once
         if self.rewind_once:
             self.rewind_once = False
-            for p in self.partitions:
-                self.positions[p] = self.scn.engine.committed(self.scn.group, self.scn.topic, p)
+            self._rewind()
         for p in self.partitions:
             pos = self.positions[p]
             try:
-                msgs, _ = self.scn.engine.fetch(self.scn.topic, p, pos, 1 << 20)
+                msgs, _ = scn.engine.fetch(scn.topic, p, pos, 1 << 20)
             except OffsetOutOfRange:
-                next_off = self.scn.engine.next_offset(self.scn.topic, p)
+                next_off = scn.engine.next_offset(scn.topic, p)
                 self.positions[p] = min(pos, next_off)
                 continue
             except BrokerDown:
@@ -597,55 +678,36 @@ class _LogMember:
             new_pos = pos + len(msgs)
             if at_most_once:
                 # commit ahead, then process: a crash loses, never duplicates
-                self.scn.engine.commit_offset(
-                    self.scn.group, self.member_id, self.scn.topic, p, new_pos
-                )
+                scn.engine.commit_offset(scn.group, self.consumer_id, scn.topic, p, new_pos)
             self.positions[p] = new_pos
             interrupted = False
             for m in msgs:
                 run.clock.t += T_PROCESS
                 for ev in run.due("deliver", run.deliveries + 1):
-                    self.scn.apply_fault(ev)
+                    scn.apply_fault(ev)
                 if self.crashed:
                     interrupted = True
                     break
                 run.record_delivered(m.flow_id, m.seq_no)
-            if interrupted and at_most_once:
-                break
-            if self.scn.at_least_once and not interrupted:
-                self.scn.engine.commit_offset(
-                    self.scn.group, self.member_id, self.scn.topic, p, new_pos
-                )
             if interrupted:
                 break
-        self._reschedule()
-
-    def _reschedule(self) -> None:
-        run = self.scn.run
-        if self.scn.producers_all_done():
-            if run.drain_deadline is None:
-                run.drain_deadline = run.now() + self.scn.run.s.drain_deadline_ms * 1_000_000
-            if self.scn.drained() or run.now() > run.drain_deadline:
-                return
-        run.at(T_POLL_INTERVAL, self.poll)
+            if scn.at_least_once:
+                scn.engine.commit_offset(scn.group, self.consumer_id, scn.topic, p, new_pos)
 
 
 # --------------------------------------------------------------------------
-# exchange engine scenario
+# exchange engine adapter
 # --------------------------------------------------------------------------
 
-class _ExchScenario:
+class _ExchScenario(_Scenario):
+    routing_key = "k"
+
     def __init__(self, run: _Run):
-        self.run = run
-        s = run.s
-        topo = s.topology
-        self.at_least_once = s.qos.delivery is Delivery.AT_LEAST_ONCE
-        self.stop_and_wait = s.qos.ordering is not Ordering.NONE
+        super().__init__(run)
+        topo = run.s.topology
         mirrors = tuple(topo.get("mirrors", ()))
         durable = topo.get("durable", self.at_least_once and not mirrors)
-        self.engine = ExchEngine(
-            3, clock=run.clock.now, latency_mode="none", defects=s.defects
-        )
+        self.engine = ExchEngine(3, clock=run.clock.now, latency_mode="none")
         self.engine.declare_exchange(ExchangeSpec("x", ExchangeKind.DIRECT))
         self.queue = "q"
         self.engine.declare_queue(
@@ -659,39 +721,24 @@ class _ExchScenario:
                 spill_to_disk=topo.get("spill_to_disk", False),
             )
         )
-        self.engine.bind(BindingSpec("x", self.queue, key="k"))
-        w = s.workload
-        self.payload = b"\x00" * w.record_size_bytes
-        self.producers = [
-            _ExchProducer(self, i, w.messages_per_producer) for i in range(w.producers)
-        ]
-        self.consumers = [_ExchConsumer(self, f"c{i}") for i in range(w.consumers)]
+        self.engine.bind(BindingSpec("x", self.queue, key=self.routing_key))
+        # one channel per flow keeps each flow's publishes in order
+        self.channels = {p.flow: self.engine.channel() for p in self.producers}
+        ids = [f"c{i}" for i in range(run.s.workload.consumers)]
+        self.consumers = {c: _ExchConsumer(self, c) for c in ids}
 
-    def start(self) -> None:
-        run = self.run
-        run.schedule_time_faults(self.apply_fault)
-        for p in self.producers:
-            run.at(T_PRODUCE_GAP, p.step)
-        for c in self.consumers:
-            run.at(T_POLL_INTERVAL, c.poll)
+    def crash_target(self) -> str:
+        return self.engine._queue("/", self.queue).home_node
 
-    def apply_fault(self, ev: FaultEvent) -> None:
-        run = self.run
-        if ev.kind is FaultKind.CRASH_NODE:
-            target = ev.target or self.engine._queue("/", self.queue).home_node
-            if target in self.engine.nodes:
-                self.engine.crash_node(target)
-                run.at(ev.down_ms * 1_000_000, self.engine.restart_node, target)
-        elif ev.kind is FaultKind.CRASH_CONSUMER:
-            cons = next(
-                (c for c in self.consumers if c.consumer_id == ev.target),
-                self.consumers[0],
+    def send(self, batch: tuple) -> str:
+        (msg,) = batch
+        try:
+            confirm = self.engine.publish(
+                self.channels[msg.flow_id], "x", msg, persistent=self.at_least_once
             )
-            cons.crash(ev.down_ms)
-        # DUPLICATE_DELIVER / DROP_ACK / DELAY_ACK are handled at their sites
-
-    def producers_all_done(self) -> bool:
-        return all(p.done for p in self.producers)
+        except BrokerDown:
+            return "down"
+        return "confirmed" if confirm.ack else "nacked"
 
     def drained(self) -> bool:
         try:
@@ -703,119 +750,12 @@ class _ExchScenario:
             return False
 
 
-class _ExchProducer:
-    def __init__(self, scn: _ExchScenario, idx: int, total: int):
-        self.scn = scn
-        self.flow = f"f{idx}"
-        self.total = total
-        self.sent = 0
-        self.outstanding = 0
-        self.done = False
-        self.channel = scn.engine.channel()
-
-    def step(self) -> None:
-        run = self.scn.run
-        if self.sent >= self.total:
-            self._maybe_done()
-            return
-        if self.scn.stop_and_wait and self.outstanding:
-            return
-        now = run.now()
-        msg = Message(
-            self.flow, self.sent, payload=self.scn.payload,
-            routing_key="k", produced_at=now,
-        )
-        self.sent += 1
-        run.record_produced(msg)
-        self.outstanding += 1
-        self.attempt(msg, 1)
-        if not self.scn.stop_and_wait:
-            run.at(T_PRODUCE_GAP, self.step)
-
-    def attempt(self, msg: Message, attempt: int) -> None:
-        run = self.scn.run
-        run.produce_attempts += 1
-        for ev in run.due("produce", run.produce_attempts, kinds={FaultKind.CRASH_NODE}):
-            self.scn.apply_fault(ev)
-        run.clock.t += T_HANDLE
-        try:
-            confirm = self.scn.engine.publish(
-                self.channel, "x", msg, persistent=self.scn.at_least_once
-            )
-        except BrokerDown:
-            self._handle_no_ack(msg, attempt)
-            return
-        run.record_handled(msg)
-        if not confirm.ack:
-            self._handle_no_ack(msg, attempt)
-            return
-        run.phase(Phase.T3_CONFIRMED, msg.flow_id, msg.seq_no)
-        if run.due("produce", run.produce_attempts, kinds={FaultKind.DROP_ACK}):
-            self._handle_no_ack(msg, attempt)
-            return
-        delays = run.due("produce", run.produce_attempts, kinds={FaultKind.DELAY_ACK})
-        travel = T_CONFIRM_TRAVEL + (delays[0].delay_ms * 1_000_000 if delays else 0)
-        run.at(travel, self.confirm, msg)
-        if delays and self.scn.at_least_once:
-            run.at(self._backoff(attempt), self.retry, msg, attempt)
-
-    def _handle_no_ack(self, msg: Message, attempt: int) -> None:
-        run = self.scn.run
-        if not self.scn.at_least_once or attempt > run.s.retry_limit:
-            self._resolve()
-            return
-        run.at(self._backoff(attempt), self.retry, msg, attempt)
-
-    def retry(self, msg: Message, attempt: int) -> None:
-        if (msg.flow_id, msg.seq_no) in self.scn.run._confirmed:
-            return
-        if attempt >= self.scn.run.s.retry_limit:
-            self._resolve()
-            return
-        self.attempt(msg, attempt + 1)
-
-    def confirm(self, msg: Message) -> None:
-        run = self.scn.run
-        if (msg.flow_id, msg.seq_no) in run._confirmed:
-            return
-        run.record_confirmed(msg)
-        self._resolve()
-
-    def _resolve(self) -> None:
-        self.outstanding = max(0, self.outstanding - 1)
-        self.scn.run.at(T_PRODUCE_GAP, self.step)
-        self._maybe_done()
-
-    def _backoff(self, attempt: int) -> int:
-        return T_RETRY_BASE * (2 ** (attempt - 1))
-
-    def _maybe_done(self) -> None:
-        if self.sent >= self.total and self.outstanding <= 0:
-            self.done = True
-
-
-class _ExchConsumer:
+class _ExchConsumer(_Consumer):
     def __init__(self, scn: _ExchScenario, consumer_id: str):
-        self.scn = scn
-        self.consumer_id = consumer_id
-        self.crashed = False
-        self.handle = scn.engine.consume(
-            scn.queue,
-            consumer_id,
-            ConsumeMode.PULL,
-            prefetch=20,
-            auto_ack=not scn.at_least_once,
-        )
+        super().__init__(scn, consumer_id)
+        self._attach()
 
-    def crash(self, down_ms: int) -> None:
-        if self.crashed:
-            return
-        self.crashed = True
-        self.scn.engine.cancel_consumer(self.handle, requeue_unacked=True)
-        self.scn.run.at(down_ms * 1_000_000, self.restart)
-
-    def restart(self) -> None:
-        self.crashed = False
+    def _attach(self) -> None:
         self.handle = self.scn.engine.consume(
             self.scn.queue,
             self.consumer_id,
@@ -824,11 +764,18 @@ class _ExchConsumer:
             auto_ack=not self.scn.at_least_once,
         )
 
-    def poll(self) -> None:
-        run = self.scn.run
+    def crash(self, down_ms: int) -> None:
         if self.crashed:
-            run.at(T_POLL_INTERVAL, self.poll)
             return
+        self.scn.engine.cancel_consumer(self.handle, requeue_unacked=True)
+        super().crash(down_ms)
+
+    def restart(self) -> None:
+        super().restart()
+        self._attach()
+
+    def _poll_once(self) -> None:
+        scn, run = self.scn, self.scn.run
         try:
             got = self.handle.pull(10)
         except BrokerDown:
@@ -836,45 +783,27 @@ class _ExchConsumer:
         for d in got:
             run.clock.t += T_PROCESS
             flow, seq = d.message.flow_id, d.message.seq_no
-            if self.scn.at_least_once:
+            if scn.at_least_once:
                 fired = run.due("deliver", run.deliveries + 1)
                 run.record_delivered(flow, seq)
-                crashed_here = False
                 for ev in fired:
                     if ev.kind is FaultKind.DUPLICATE_DELIVER:
-                        dup = self.scn.engine.redeliver_unacked(self.scn.queue, d.tag)
-                        if dup is not None:
+                        if scn.engine.redeliver_unacked(scn.queue, d.tag) is not None:
                             run.record_delivered(flow, seq)
                     else:
-                        self.scn.apply_fault(ev)
-                        if ev.kind is FaultKind.CRASH_CONSUMER and self.crashed:
-                            crashed_here = True
-                if crashed_here or self.crashed:
+                        scn.apply_fault(ev)
+                if self.crashed:
                     break  # unacked deliveries were requeued by the crash
                 self.handle.ack(d.tag)
                 run.record_acked(flow, seq)
             else:
                 # auto-acked at pull: ownership moved before processing
                 run.record_acked(flow, seq)
-                fired = run.due("deliver", run.deliveries + 1)
-                crashed_here = False
-                for ev in fired:
-                    self.scn.apply_fault(ev)
-                    if ev.kind is FaultKind.CRASH_CONSUMER and self.crashed:
-                        crashed_here = True
-                if crashed_here or self.crashed:
+                for ev in run.due("deliver", run.deliveries + 1):
+                    scn.apply_fault(ev)
+                if self.crashed:
                     break  # the in-flight remainder is lost
                 run.record_delivered(flow, seq)
-        self._reschedule()
-
-    def _reschedule(self) -> None:
-        run = self.scn.run
-        if self.scn.producers_all_done():
-            if run.drain_deadline is None:
-                run.drain_deadline = run.now() + run.s.drain_deadline_ms * 1_000_000
-            if (self.scn.drained() and not self.crashed) or run.now() > run.drain_deadline:
-                return
-        run.at(T_POLL_INTERVAL, self.poll)
 
 
 # --------------------------------------------------------------------------

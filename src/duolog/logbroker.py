@@ -29,12 +29,12 @@ import struct
 import threading
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message
+from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, SimNode, spin_ns
 from .hashing import stable_hash64
 
 
@@ -139,19 +139,10 @@ class BatchingConfig:
     large, desk-scale workloads override them downward."""
 
     producer_batch_messages: int = 200
-    producer_batch_max_delay_s: float = 30.0
-    broker_batch_messages: int = 50_000
-    broker_batch_max_delay_s: float = 30.0
     consumer_fetch_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        for name in (
-            "producer_batch_messages",
-            "producer_batch_max_delay_s",
-            "broker_batch_messages",
-            "broker_batch_max_delay_s",
-            "consumer_fetch_bytes",
-        ):
+        for name in ("producer_batch_messages", "consumer_fetch_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -301,12 +292,6 @@ class Segment:
         s.offsets = list(self.offsets)
         s.positions = list(self.positions)
         return s
-
-
-@dataclass
-class SimNode:
-    node_id: str
-    alive: bool = True
 
 
 class Replica:
@@ -459,7 +444,6 @@ class LogEngine(BrokerContract):
         data_dir: Optional[Path] = None,
         fsync_latency_ns: int = 0,
         replica_ack_rtt_ns: int = 0,
-        defects: Iterable[str] = (),
     ) -> None:
         if isinstance(nodes, int):
             node_ids = [f"n{i}" for i in range(nodes)]
@@ -475,8 +459,6 @@ class LogEngine(BrokerContract):
         self.fsync_latency_ns = fsync_latency_ns
         # waiting on a follower acknowledgment costs a second round trip
         self.replica_ack_rtt_ns = replica_ack_rtt_ns
-        self.defects = frozenset(defects)
-        self._defect_armed = "lose_confirmed" in self.defects
         self._rotors: dict[str, int] = {}
         self._lock = threading.RLock()
         self.fault_hook: Optional[Callable[[str, str, int], None]] = None
@@ -586,14 +568,7 @@ class LogEngine(BrokerContract):
             records = [
                 (base + i, encode_record(base + i, msg)) for i, msg in enumerate(msgs)
             ]
-            if self._defect_armed and base >= 3:
-                # deliberately broken build: silently drop one record of the
-                # batch after confirming it (mutation-testing hook)
-                self._defect_armed = False
-                leader.append_encoded(records[:-1], t.config.segment_bytes)
-                leader.next_offset = records[-1][0] + 1
-            else:
-                leader.append_encoded(records, t.config.segment_bytes)
+            leader.append_encoded(records, t.config.segment_bytes)
             self._maybe_flush(leader, t.config, len(records))
             self._fire_fault("post_leader", topic, partition)
             acceptors = 1
@@ -612,7 +587,7 @@ class LogEngine(BrokerContract):
                     f"quorum {quorum_size(rf)} unavailable ({acceptors} acceptors)"
                 )
             if acks is LogAckMode.ACKS_QUORUM and rf >= 2 and self.replica_ack_rtt_ns:
-                _spin_ns(self.replica_ack_rtt_ns)
+                spin_ns(self.replica_ack_rtt_ns)
             phase = {
                 LogAckMode.ACKS_0: AckPhase.ENQUEUED,
                 LogAckMode.ACKS_1: AckPhase.LEADER,
@@ -856,7 +831,7 @@ class LogEngine(BrokerContract):
         rep.flushed_up_to = rep.next_offset
         rep.last_flush_ns = self.clock()
         if self.fsync_latency_ns:
-            _spin_ns(self.fsync_latency_ns)
+            spin_ns(self.fsync_latency_ns)
         if self.data_dir is not None:
             self._persist(rep, cfg)
 
@@ -908,11 +883,3 @@ class LogEngine(BrokerContract):
         if self.fault_hook is not None:
             self.fault_hook(phase, topic, partition)
 
-
-def _spin_ns(ns: int) -> None:
-    if ns >= 20_000:
-        time.sleep(ns / 1e9)
-    else:
-        deadline = time.perf_counter_ns() + ns
-        while time.perf_counter_ns() < deadline:
-            pass

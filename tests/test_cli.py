@@ -17,6 +17,18 @@ GOOD_SCENARIO = {
     "faults": [{"kind": "drop_ack", "on": "produce", "index": 3}],
 }
 
+# rf=1, acks from the leader, a flush per message: a confirm implies durability
+LOG_SCENARIO = {
+    "engine": "log",
+    "seed": 5,
+    "workload": {"producers": 2, "consumers": 1, "record_size_bytes": 16,
+                 "messages_per_producer": 6},
+    "qos": {"delivery": "at_least_once", "ordering": "per_partition",
+            "replication_factor": 1, "ack_mode": "1"},
+    "topology": {"partitions": 2, "flush_messages": 1},
+    "faults": [{"kind": "drop_ack", "on": "produce", "index": 3}],
+}
+
 TOPOLOGY = {
     "vhost": "/",
     "exchanges": [{"name": "ex", "kind": "topic"}],
@@ -42,9 +54,11 @@ def test_verify_pass(tmp_path, capsys):
     assert out["no_loss"] is True
 
 
-def test_verify_broken_engine_build_fails(tmp_path, capsys):
-    broken = dict(GOOD_SCENARIO)
-    broken["defects"] = ["lose_confirmed"]
+@pytest.mark.parametrize("clean", [GOOD_SCENARIO, LOG_SCENARIO], ids=["exch", "log"])
+def test_verify_broken_engine_build_fails(tmp_path, capsys, clean):
+    assert main(["verify", write_json(tmp_path / "clean.json", clean)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    broken = dict(clean, defects=["lose_confirmed"])
     rc = main(["verify", write_json(tmp_path / "s.json", broken)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)

@@ -100,7 +100,6 @@ def test_create_topic_zero_partitions_rejected():
 def test_batching_config_defaults_and_validation():
     b = BatchingConfig()
     assert b.producer_batch_messages == 200
-    assert b.broker_batch_messages == 50_000
     assert b.consumer_fetch_bytes == 1 << 20
     with pytest.raises(ValueError):
         BatchingConfig(producer_batch_messages=0)
