@@ -365,6 +365,9 @@ class Partition:
         self.index = index
         self.replicas = replicas
         self.lock = threading.RLock()
+        # the quorum offset when a replica last crashed: its truncation must
+        # not hide offsets a quorum already confirmed
+        self.hw_floor = 0
 
     def replica_on(self, node_id: str) -> Optional[Replica]:
         for r in self.replicas:
@@ -477,6 +480,10 @@ class LogEngine(BrokerContract):
                     with part.lock:
                         rep = part.replica_on(node_id)
                         if rep is not None:
+                            part.hw_floor = max(
+                                part.hw_floor,
+                                self._quorum_offset(part, topic.config.replication_factor),
+                            )
                             rep.truncate_to_flushed()
 
     def restart_node(self, node_id: str) -> None:
@@ -811,6 +818,12 @@ class LogEngine(BrokerContract):
     def _high_watermark(self, part: Partition, rf: int) -> int:
         if rf == 1:
             return self._leader(part).next_offset
+        hw = self._quorum_offset(part, rf)
+        if part.hw_floor > hw:
+            hw = min(part.hw_floor, self._leader(part).next_offset)
+        return hw
+
+    def _quorum_offset(self, part: Partition, rf: int) -> int:
         tops = sorted((r.next_offset for r in part.replicas), reverse=True)
         return tops[quorum_size(rf) - 1]
 

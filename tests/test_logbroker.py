@@ -263,6 +263,16 @@ def test_quorum_survives_minority_crash():
     assert [m.seq_no for m in out] == [0, 1, 2, 3, 4]
 
 
+def test_high_watermark_survives_replica_crash():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=2, flush=NO_TIME_FLUSH))
+    eng.append_batch("t", 0, msgs("f", 0, 10), LogAckMode.ACKS_QUORUM)
+    eng.crash_node("n1")  # the follower's unflushed copy is truncated away
+    assert eng.high_watermark("t", 0) == 10
+    out, hw = eng.fetch("t", 0, 0)
+    assert [m.seq_no for m in out] == list(range(10)) and hw == 10
+
+
 # --------------------------------------------------------------------------
 # consumer groups
 # --------------------------------------------------------------------------
