@@ -1112,4 +1112,3 @@ def validate_topology(topology: dict) -> list[str]:
         if b.get("queue") not in qnames:
             problems.append(f"binding references unknown queue {b.get('queue')!r}")
     return problems
-

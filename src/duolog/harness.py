@@ -388,7 +388,6 @@ class _Scenario:
         # deliberately broken build (mutation testing), armed for one batch
         self.lose_confirmed = "lose_confirmed" in s.defects
         self.producers = [_Producer(self, i, w.messages_per_producer) for i in range(w.producers)]
-        self.consumers: dict = {}
 
     def start(self) -> None:
         run = self.run

@@ -895,4 +895,3 @@ class LogEngine(BrokerContract):
     def _fire_fault(self, phase: str, topic: str, partition: int) -> None:
         if self.fault_hook is not None:
             self.fault_hook(phase, topic, partition)
-
