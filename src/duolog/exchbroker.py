@@ -10,7 +10,10 @@ after all mirrors accepted.
 Queues keep entries in per-flow sequence order at all times: retransmitted
 messages are insertion-sorted back into place, so a consumer never needs to
 resequence.  One payload copy is shared across all queues a message routes
-to; queues hold per-entry index state only.
+to; queues hold per-entry index state only.  Publishing and delivering cost
+the same at any queue depth and binding count: queues index their entries
+(see `_Queue`) and each exchange's bindings are compiled when bound (see
+`_Routes`).
 
 A memory cap with spill moves the oldest entries into a penalized secondary
 tier, reproducing the latency cliff of a broker that outgrows DRAM.
@@ -18,8 +21,11 @@ tier, reproducing the latency cliff of a broker that outgrows DRAM.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -207,6 +213,73 @@ def match_topic(pattern: str, routing_key: str) -> bool:
     return dp[0][0]
 
 
+class _TopicNode:
+    """One trie node: the state after matching a pattern prefix.  A node
+    reached through a "#" edge (`loops`) absorbs any further segment."""
+
+    __slots__ = ("words", "star", "hash", "queues", "loops")
+
+    def __init__(self, loops: bool = False) -> None:
+        self.words: dict[str, _TopicNode] = {}
+        self.star: Optional[_TopicNode] = None
+        self.hash: Optional[_TopicNode] = None
+        self.queues: set[str] = set()
+        self.loops = loops
+
+
+class _TopicTrie:
+    """Topic patterns compiled into a segment trie, as RabbitMQ's topic
+    exchange does: a key walks its segments once, following only the
+    branches that can still match, whatever the number of bindings.  It
+    agrees with `match_topic`, which stays the reference."""
+
+    def __init__(self, bindings: Iterable[BindingSpec]) -> None:
+        self.root = _TopicNode()
+        for b in bindings:
+            node = self.root
+            for word in b.pattern.split(".") if b.pattern else ():
+                if word == "#":
+                    node.hash = node.hash or _TopicNode(loops=True)
+                    node = node.hash
+                elif word == "*":
+                    node.star = node.star or _TopicNode()
+                    node = node.star
+                else:
+                    node = node.words.setdefault(word, _TopicNode())
+            node.queues.add(b.queue)
+
+    def match(self, routing_key: str) -> set[str]:
+        active = _closure((self.root,))
+        for word in routing_key.split(".") if routing_key else ():
+            step = []
+            for node in active:
+                if node.loops:
+                    step.append(node)
+                child = node.words.get(word)
+                if child is not None:
+                    step.append(child)
+                if node.star is not None:
+                    step.append(node.star)
+            if not step:
+                return set()
+            active = _closure(step)
+        out: set[str] = set()
+        for node in active:
+            out |= node.queues
+        return out
+
+
+def _closure(nodes: Iterable[_TopicNode]) -> set[_TopicNode]:
+    """The nodes plus every node reachable by "#" edges: "#" may match
+    zero segments."""
+    out: set[_TopicNode] = set()
+    for node in nodes:
+        while node is not None and node not in out:
+            out.add(node)
+            node = node.hash
+    return out
+
+
 # --------------------------------------------------------------------------
 # runtime state
 # --------------------------------------------------------------------------
@@ -222,11 +295,14 @@ class _Body:
 
 class _BodyStore:
     """One shared copy of each published payload, reference counted by the
-    queue entries that point at it."""
+    queue entries that point at it.  Running counters of live and spilled
+    bytes keep the memory reads constant-time."""
 
     def __init__(self) -> None:
         self._bodies: dict[int, _Body] = {}
         self._next = 0
+        self._live_bytes = 0
+        self._spilled_bytes = 0
         self._lock = threading.Lock()
 
     def put(self, data: bytes) -> int:
@@ -237,6 +313,7 @@ class _BodyStore:
             body = _Body(memoryview(data).tobytes())
             body.refs = 1  # the publisher's staging reference
             self._bodies[bid] = body
+            self._live_bytes += len(body.data)
             return bid
 
     def retain(self, bid: int) -> None:
@@ -249,6 +326,9 @@ class _BodyStore:
             body.refs -= 1
             if body.refs <= 0:
                 del self._bodies[bid]
+                self._live_bytes -= len(body.data)
+                if body.spilled_blob is not None:
+                    self._spilled_bytes -= len(body.spilled_blob)
 
     def get(self, bid: int) -> bytes:
         with self._lock:
@@ -261,7 +341,10 @@ class _BodyStore:
             if body.spilled_blob is None:
                 body.spilled_blob = body.data
                 body.data = b""
-                return len(body.spilled_blob)
+                moved = len(body.spilled_blob)
+                self._live_bytes -= moved
+                self._spilled_bytes += moved
+                return moved
             return 0
 
     def unspill(self, bid: int) -> bytes:
@@ -270,15 +353,15 @@ class _BodyStore:
             if body.spilled_blob is not None:
                 body.data = bytes(body.spilled_blob)  # read back from the slow tier
                 body.spilled_blob = None
+                self._spilled_bytes -= len(body.data)
+                self._live_bytes += len(body.data)
             return body.data
 
     def live_payload_bytes(self) -> int:
-        with self._lock:
-            return sum(len(b.data) for b in self._bodies.values())
+        return self._live_bytes
 
     def spilled_bytes(self) -> int:
-        with self._lock:
-            return sum(len(b.spilled_blob) for b in self._bodies.values() if b.spilled_blob)
+        return self._spilled_bytes
 
     def count(self) -> int:
         with self._lock:
@@ -289,7 +372,7 @@ class _Entry:
     __slots__ = (
         "flow", "seq", "body_id", "size", "headers", "routing_key",
         "produced_at", "ttl_ms", "persistent", "fsynced", "mirrored_on",
-        "spilled", "delivery_count",
+        "spilled", "delivery_count", "deadline", "queued",
     )
 
     def __init__(self, msg: Message, body_id: int, size: int, persistent: bool) -> None:
@@ -303,9 +386,11 @@ class _Entry:
         self.ttl_ms = msg.ttl_ms
         self.persistent = persistent
         self.fsynced = False
-        self.mirrored_on: set[str] = set()
+        self.mirrored_on: Optional[set[str]] = None  # a set on mirrored queues only
         self.spilled = False
         self.delivery_count = 0
+        self.deadline: Optional[int] = None  # TTL expiry in clock ns, set by the queue
+        self.queued = False  # in its queue's `entries`, not delivered or dropped
 
 
 class _Consumer:
@@ -321,40 +406,199 @@ class _Consumer:
 
 
 class _Queue:
+    """A queue's entries in per-flow seq order, with indexes that keep each
+    publish and delivery independent of the queue's depth.  Every change to
+    `entries` goes through `insert`, `pop_head` or `remove`, so the indexes
+    cannot drift from it:
+
+    - `_flows` holds, per flow with queued entries, the highest seq
+      inserted and the count queued.  A higher seq is new and belongs at
+      the tail; only a retransmit takes the scan that finds its place or
+      its duplicate;
+    - `_deadlines` is a min-heap of (TTL deadline, insert number, entry),
+      pushed on every insert.  Items of entries that left the queue go
+      stale and are skipped; a head pop takes its item with it when it is
+      the heap's top, as it is when deadlines follow queue order, and the
+      heap is rebuilt from queued entries past twice the depth;
+    - `_mem` counts the bytes of entries not spilled, and every entry
+      before `_spill_cursor` is spilled.
+    """
+
     def __init__(self, spec: QueueSpec, home_node: str) -> None:
         self.spec = spec
         self.home_node = home_node
-        self.entries: list[_Entry] = []
+        self.entries: deque[_Entry] = deque()
         self.unacked: dict[int, tuple[_Entry, str]] = {}
         self.consumers: dict[str, _Consumer] = {}
         self._rr: int = 0
         self.lock = threading.RLock()
         self.spilled_ever = False
         self.available = True
+        self._mem = 0
+        self._spill_cursor = 0
+        self._flows: dict[str, list[int]] = {}  # flow -> [highest seq, count]
+        self._deadlines: list[tuple[int, int, _Entry]] = []
+        self._inserts = itertools.count()
 
     def insert(self, entry: _Entry) -> bool:
         """Insert in per-flow seq order; duplicate live (flow, seq) keys are
         absorbed (the retransmit carries the same content)."""
-        for e in self.entries:
-            if e.flow == entry.flow and e.seq == entry.seq:
-                return False
-        idx = len(self.entries)
-        for i, e in enumerate(self.entries):
-            if e.flow == entry.flow and e.seq > entry.seq:
-                idx = i
-                break
-        self.entries.insert(idx, entry)
+        flow = self._flows.get(entry.flow)
+        if flow is None:
+            self._flows[entry.flow] = [entry.seq, 1]
+            self.entries.append(entry)
+        elif entry.seq > flow[0]:
+            flow[0] = entry.seq
+            flow[1] += 1
+            self.entries.append(entry)
+        else:
+            # a flow's entries are queued in ascending seq order, so the
+            # first one at or above this seq is its duplicate or successor
+            idx = len(self.entries)
+            for i, e in enumerate(self.entries):
+                if e.flow == entry.flow and e.seq >= entry.seq:
+                    if e.seq == entry.seq:
+                        return False
+                    idx = i
+                    break
+            self.entries.insert(idx, entry)
+            flow[1] += 1
+            self._spill_cursor = min(self._spill_cursor, idx)
+        entry.queued = True
+        if not entry.spilled:
+            self._mem += entry.size
+        ttl = entry.ttl_ms if entry.ttl_ms is not None else self.spec.default_ttl
+        if ttl is not None:
+            entry.deadline = entry.produced_at + ttl * 1_000_000
+            heapq.heappush(self._deadlines, (entry.deadline, next(self._inserts), entry))
+            if len(self._deadlines) > 2 * len(self.entries):
+                self._deadlines = [
+                    (e.deadline, next(self._inserts), e)
+                    for e in self.entries
+                    if e.deadline is not None
+                ]
+                heapq.heapify(self._deadlines)
         return True
 
+    def pop_head(self) -> _Entry:
+        entry = self.entries.popleft()
+        self._forget(entry)
+        if self._deadlines and self._deadlines[0][2] is entry:
+            heapq.heappop(self._deadlines)
+        if self._spill_cursor:
+            self._spill_cursor -= 1
+        if not entry.spilled:
+            self._mem -= entry.size
+        return entry
+
+    def remove(self, doomed: Callable[[_Entry], bool]) -> list[_Entry]:
+        """Drop every entry `doomed` picks; returns them in queue order."""
+        kept: deque[_Entry] = deque()
+        removed: list[_Entry] = []
+        cursor = 0
+        for i, e in enumerate(self.entries):
+            if not doomed(e):
+                kept.append(e)
+                if i < self._spill_cursor:  # still in the spilled prefix
+                    cursor += 1
+                continue
+            removed.append(e)
+            self._forget(e)
+            if not e.spilled:
+                self._mem -= e.size
+        if removed:
+            self.entries = kept
+            self._spill_cursor = cursor
+        return removed
+
+    def expire(self, now: int) -> list[_Entry]:
+        """Remove the entries whose TTL ran out before `now`; returns them in
+        queue order.  Costs one heap peek unless a queued entry is due."""
+        heap, due = self._deadlines, False
+        while heap and heap[0][0] < now:
+            due = heapq.heappop(heap)[2].queued or due
+        if not due:
+            return []
+        return self.remove(lambda e: e.deadline is not None and e.deadline < now)
+
+    def spill(self, cap: int, spill_body: Callable[[int], int]) -> int:
+        """Spill the oldest unspilled entries until at most `cap` bytes stay
+        in memory; returns how many were spilled.  `_mem` drops by each
+        entry's size, but the loop counts only the bytes `spill_body` moved:
+        a body another queue already spilled moves none."""
+        mem, spilled, i = self._mem, 0, self._spill_cursor
+        while mem > cap and i < len(self.entries):
+            e = self.entries[i]
+            i += 1
+            if e.spilled:
+                continue
+            mem -= spill_body(e.body_id)
+            e.spilled = True
+            self._mem -= e.size
+            self.spilled_ever = True
+            spilled += 1
+        self._spill_cursor = i
+        return spilled
+
     def memory_bytes(self) -> int:
-        return sum(e.size for e in self.entries if not e.spilled)
+        return self._mem
+
+    def _forget(self, entry: _Entry) -> None:
+        entry.queued = False
+        flow = self._flows[entry.flow]
+        flow[1] -= 1
+        if not flow[1]:  # with no entry queued, any seq of the flow appends
+            del self._flows[entry.flow]
+
+
+class _Routes:
+    """One exchange's bindings, compiled for its kind when bound.  `bind`
+    builds a new table and swaps it in whole, so a concurrent `route` sees
+    either the old table or the new one."""
+
+    def __init__(self, kind: ExchangeKind, bindings: tuple) -> None:
+        self.kind = kind
+        self.bindings = bindings
+        if kind is ExchangeKind.FANOUT:
+            self.queues = sorted({b.queue for b in bindings})
+        elif kind is ExchangeKind.DIRECT:
+            self.by_key: dict[Optional[str], set[str]] = {}
+            for b in bindings:
+                self.by_key.setdefault(b.key, set()).add(b.queue)
+        elif kind is ExchangeKind.TOPIC:
+            self.trie = _TopicTrie(b for b in bindings if b.pattern is not None)
+        elif kind is ExchangeKind.CONSISTENT_HASH:
+            self.slots = [
+                b.queue for b in sorted(bindings, key=lambda b: b.queue) for _ in range(b.weight)
+            ]
+
+    def match(self, msg: Message) -> Iterable[str]:
+        if self.kind is ExchangeKind.FANOUT:
+            return self.queues
+        if self.kind is ExchangeKind.DIRECT:
+            return self.by_key.get(msg.routing_key, ())
+        if self.kind is ExchangeKind.TOPIC:
+            return self.trie.match(msg.routing_key or "")
+        if self.kind is ExchangeKind.HEADERS:
+            out = set()
+            for b in self.bindings:
+                if not b.header_match:
+                    continue
+                hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
+                if (b.match_mode is MatchMode.ALL and all(hits)) or (
+                    b.match_mode is MatchMode.ANY and any(hits)
+                ):
+                    out.add(b.queue)
+            return out
+        key = (msg.routing_key or "").encode()
+        return [self.slots[stable_hash64(key) % len(self.slots)]]
 
 
 @dataclass
 class _VHost:
     exchanges: dict = field(default_factory=dict)
     queues: dict = field(default_factory=dict)
-    bindings: list = field(default_factory=list)
+    routes: dict = field(default_factory=dict)  # exchange name -> _Routes
 
 
 class Channel:
@@ -462,14 +706,12 @@ class ExchEngine(BrokerContract):
                             if not q.insert(e):
                                 self.bodies.release(e.body_id)
                         if promoted is not None:
-                            survivors = [e for e in q.entries if promoted in e.mirrored_on]
-                            for e in q.entries:
-                                if promoted not in e.mirrored_on:
-                                    self.bodies.release(e.body_id)
-                            q.entries = survivors
+                            for e in q.remove(lambda e: promoted not in e.mirrored_on):
+                                self.bodies.release(e.body_id)
                             q.home_node = promoted
                         else:
                             q.available = False
+            self._flow_update()
 
     def restart_node(self, node_id: str) -> None:
         node = self._node(node_id)
@@ -480,14 +722,11 @@ class ExchEngine(BrokerContract):
                     with q.lock:
                         if q.home_node != node_id or q.available:
                             continue
-                        survivors = []
-                        for e in q.entries:
-                            if q.spec.durable and e.fsynced:
-                                survivors.append(e)
-                            else:
-                                self.bodies.release(e.body_id)
-                        q.entries = survivors
+                        durable = q.spec.durable
+                        for e in q.remove(lambda e: not (durable and e.fsynced)):
+                            self.bodies.release(e.body_id)
                         q.available = True
+            self._flow_update()
 
     def payload_bytes(self) -> int:
         return self.bodies.live_payload_bytes() + self.bodies.spilled_bytes()
@@ -536,8 +775,10 @@ class ExchEngine(BrokerContract):
                 raise UnknownEntity(f"exchange {b.vhost}{b.exchange}")
             if b.queue not in vh.queues:
                 raise UnknownEntity(f"queue {b.vhost}{b.queue}")
-            if b not in vh.bindings:
-                vh.bindings.append(b)
+            routes = vh.routes.get(b.exchange)
+            bound = routes.bindings if routes is not None else ()
+            if b not in bound:
+                vh.routes[b.exchange] = _Routes(vh.exchanges[b.exchange].kind, (*bound, b))
 
     def load_topology(self, topology: dict) -> None:
         """Declare exchanges, queues and bindings from a topology mapping
@@ -598,37 +839,9 @@ class ExchEngine(BrokerContract):
             raise Unroutable(exchange, msg.routing_key)
         return frozenset(queues)
 
-    def _match_queues(self, vh: _VHost, ex: ExchangeSpec, msg: Message) -> list[str]:
-        bindings = [b for b in vh.bindings if b.exchange == ex.name]
-        if ex.kind is ExchangeKind.FANOUT:
-            return sorted({b.queue for b in bindings})
-        if ex.kind is ExchangeKind.DIRECT:
-            return sorted({b.queue for b in bindings if b.key == msg.routing_key})
-        if ex.kind is ExchangeKind.TOPIC:
-            rk = msg.routing_key or ""
-            return sorted(
-                {b.queue for b in bindings if b.pattern is not None and match_topic(b.pattern, rk)}
-            )
-        if ex.kind is ExchangeKind.HEADERS:
-            out = set()
-            for b in bindings:
-                if not b.header_match:
-                    continue
-                hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
-                if (b.match_mode is MatchMode.ALL and all(hits)) or (
-                    b.match_mode is MatchMode.ANY and any(hits)
-                ):
-                    out.add(b.queue)
-            return sorted(out)
-        if ex.kind is ExchangeKind.CONSISTENT_HASH:
-            if not bindings:
-                return []
-            slots: list[str] = []
-            for b in sorted(bindings, key=lambda b: b.queue):
-                slots.extend([b.queue] * b.weight)
-            key = (msg.routing_key or "").encode()
-            return [slots[stable_hash64(key) % len(slots)]]
-        raise ExchError(f"unhandled exchange kind {ex.kind}")
+    def _match_queues(self, vh: _VHost, ex: ExchangeSpec, msg: Message) -> Iterable[str]:
+        routes = vh.routes.get(ex.name)
+        return routes.match(msg) if routes is not None else ()
 
     # -- channels and publishing ------------------------------------------------
 
@@ -713,8 +926,7 @@ class ExchEngine(BrokerContract):
                         if q.spec.overflow is OverflowPolicy.REJECT_PUBLISH:
                             rejected = True
                             continue
-                        oldest = q.entries.pop(0)
-                        self.bodies.release(oldest.body_id)
+                        self.bodies.release(q.pop_head().body_id)
                     entry = _Entry(msg, body_id, len(msg.payload), persistent)
                     if not q.insert(entry):
                         accepted += 1  # duplicate retransmit absorbed in place
@@ -725,21 +937,23 @@ class ExchEngine(BrokerContract):
                         entry.fsynced = True
                         if self.fsync_latency_ns:
                             spin_ns(self.fsync_latency_ns)
-                    for m in q.spec.mirrors:
-                        if self.nodes[m].alive:
-                            entry.mirrored_on.add(m)
-                            if self.mirror_sync_ns:
-                                spin_ns(self.mirror_sync_ns)
-                    if q.spec.mirrors and set(q.spec.mirrors) - entry.mirrored_on:
-                        raise BrokerDown(f"mirror of {qname} is down")
+                    if q.spec.mirrors:
+                        entry.mirrored_on = set()
+                        for m in q.spec.mirrors:
+                            if self.nodes[m].alive:
+                                entry.mirrored_on.add(m)
+                                if self.mirror_sync_ns:
+                                    spin_ns(self.mirror_sync_ns)
+                        if set(q.spec.mirrors) - entry.mirrored_on:
+                            raise BrokerDown(f"mirror of {qname} is down")
                     self._enforce_spill(q)
                     accepted += 1
         finally:
             self.bodies.release(body_id)  # drop the staging reference
 
-        self._flow_update()
         for qname in sorted(queues):
             self._pump(vh.queues[qname])
+        self._flow_update()
         if rejected:
             return Confirm(ack=False, publish_seq=seq, routed_count=accepted, reason="queue full")
         return Confirm(ack=True, publish_seq=seq, routed_count=accepted)
@@ -763,6 +977,7 @@ class ExchEngine(BrokerContract):
         handle = ConsumerHandle(self, vhost, queue, consumer_id)
         if mode is ConsumeMode.PUSH:
             self._pump(q)
+            self._flow_update()
         return handle
 
     def cancel_consumer(self, handle: "ConsumerHandle", requeue_unacked: bool = True) -> None:
@@ -778,6 +993,7 @@ class ExchEngine(BrokerContract):
                         self.bodies.release(entry.body_id)
                 else:
                     self.bodies.release(entry.body_id)
+        self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
         """Demand-driven delivery; empty list when the queue has nothing."""
@@ -796,6 +1012,7 @@ class ExchEngine(BrokerContract):
                 if d is None:
                     break
                 out.append(d)
+        self._flow_update()  # expiry and auto-ack released bodies
         return out
 
     def drain_pushed(self, queue: str, consumer_id: str, vhost: str = "/") -> list[Delivery]:
@@ -818,8 +1035,8 @@ class ExchEngine(BrokerContract):
             if cons is not None and cons.unacked > 0:
                 cons.unacked -= 1
             self.bodies.release(entry.body_id)
-        self._flow_update()
         self._pump(q)
+        self._flow_update()
 
     def nack(self, queue: str, tag: int, requeue: bool = True, vhost: str = "/") -> None:
         q = self._queue(vhost, queue)
@@ -837,6 +1054,7 @@ class ExchEngine(BrokerContract):
             else:
                 self.bodies.release(entry.body_id)
         self._pump(q)
+        self._flow_update()
 
     def redeliver_unacked(self, queue: str, tag: int, vhost: str = "/") -> Optional[Delivery]:
         """Deliver a second copy of an unacked entry (delivery-timeout
@@ -865,7 +1083,9 @@ class ExchEngine(BrokerContract):
     def expire_ttl(self, queue: str, now: Optional[int] = None, vhost: str = "/") -> int:
         q = self._queue(vhost, queue)
         with q.lock:
-            return self._expire_entries(q, now)
+            expired = self._expire_entries(q, now)
+        self._flow_update()
+        return expired
 
     def enforce_limits(self, queue: str, vhost: str = "/") -> LimitAction:
         q = self._queue(vhost, queue)
@@ -875,8 +1095,7 @@ class ExchEngine(BrokerContract):
                 while len(q.entries) > q.spec.max_length:
                     if q.spec.overflow is OverflowPolicy.REJECT_PUBLISH:
                         break
-                    oldest = q.entries.pop(0)
-                    self.bodies.release(oldest.body_id)
+                    self.bodies.release(q.pop_head().body_id)
                     dropped += 1
             spilled = self._enforce_spill(q)
         state = self._flow_update()
@@ -907,7 +1126,7 @@ class ExchEngine(BrokerContract):
         self._expire_entries(q)
         if not q.entries:
             return None
-        entry = q.entries.pop(0)
+        entry = q.pop_head()
         from_spill = entry.spilled
         if from_spill:
             payload = self.bodies.unspill(entry.body_id)
@@ -968,37 +1187,16 @@ class ExchEngine(BrokerContract):
                         break
 
     def _expire_entries(self, q: _Queue, now: Optional[int] = None) -> int:
-        now = self.clock() if now is None else now
-        kept: list[_Entry] = []
-        expired = 0
-        for e in q.entries:
-            ttl = e.ttl_ms if e.ttl_ms is not None else q.spec.default_ttl
-            if ttl is not None and e.produced_at + ttl * 1_000_000 < now:
-                self.bodies.release(e.body_id)
-                expired += 1
-            else:
-                kept.append(e)
-        if expired:
-            q.entries = kept
-        return expired
+        expired = q.expire(self.clock() if now is None else now)
+        for e in expired:
+            self.bodies.release(e.body_id)
+        return len(expired)
 
     def _enforce_spill(self, q: _Queue) -> int:
         cap = q.spec.memory_cap_bytes
         if cap is None or not q.spec.spill_to_disk:
             return 0
-        spilled = 0
-        mem = q.memory_bytes()
-        for e in q.entries:
-            if mem <= cap:
-                break
-            if e.spilled:
-                continue
-            moved = self.bodies.spill(e.body_id)
-            e.spilled = True
-            q.spilled_ever = True
-            mem -= moved
-            spilled += 1
-        return spilled
+        return q.spill(cap, self.bodies.spill)
 
     def _flow_gate(self) -> None:
         if self.memory_budget_bytes is None:

@@ -2,14 +2,27 @@
 consumption, acks, TTL, limits, spill, transactions and vhost isolation."""
 
 import itertools
+import random
+import sys
+import threading
+import time
 
 import pytest
 
-from duolog.core import BrokerDown, Message
+from duolog.core import (
+    BrokerDown,
+    Journal,
+    JournalEvent,
+    Message,
+    Ordering,
+    QoSConfig,
+    check_correctness,
+)
 from duolog.exchbroker import (
     BindingSpec,
     ConsumeMode,
     ExchEngine,
+    ExchError,
     ExchangeKind,
     ExchangeSpec,
     MatchMode,
@@ -213,6 +226,48 @@ def test_alternate_exchange_used_once():
     eng2.declare_exchange(ExchangeSpec("alt", ExchangeKind.DIRECT, alternate="main"))
     with pytest.raises(Unroutable):  # alternate tried once, no infinite loop
         eng2.route("main", msg(rk="nobody"))
+
+
+def routed(eng, exchange, rk):
+    try:
+        return eng.route(exchange, msg(rk=rk))
+    except Unroutable:
+        return frozenset()
+
+
+def test_topic_route_equals_match_topic_for_every_binding():
+    # as patterns: literals, wildcards and empty segments; as keys: the
+    # empty key, empty segments and a literal `*` or `#`
+    patterns = sorted({".".join(p) for p in all_patterns(alphabet=("a", "b", "*", "#", ""))})
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    for i, pattern in enumerate(patterns):
+        eng.declare_queue(QueueSpec(f"q{i}"))
+        eng.bind(BindingSpec("ex", f"q{i}", pattern=pattern))
+    wrong = []
+    for key in patterns:
+        want = {f"q{i}" for i, p in enumerate(patterns) if match_topic(p, key)}
+        if routed(eng, "ex", key) != want:
+            wrong.append(key)
+    assert wrong == []
+
+
+def test_topic_bind_after_publish_refreshes_routes_and_alternate():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC, alternate="alt"))
+    eng.declare_exchange(ExchangeSpec("alt", ExchangeKind.TOPIC))
+    for q in ("early", "late", "fallback"):
+        eng.declare_queue(QueueSpec(q))
+    eng.bind(BindingSpec("ex", "early", pattern="a.*"))
+    eng.bind(BindingSpec("alt", "fallback", pattern="#"))
+    chan = eng.channel()
+    assert eng.publish(chan, "ex", msg(0, rk="a.b")).routed_count == 1
+    assert eng.route("ex", msg(rk="b.c")) == frozenset({"fallback"})  # via the alternate
+    eng.bind(BindingSpec("ex", "late", pattern="#.c"))
+    eng.bind(BindingSpec("ex", "late", pattern="#.c"))  # rebinding is a no-op
+    assert eng.route("ex", msg(rk="b.c")) == frozenset({"late"})
+    assert eng.route("ex", msg(rk="a.c")) == frozenset({"early", "late"})
+    assert eng.publish(chan, "ex", msg(1, rk="a.c")).routed_count == 2
 
 
 # --------------------------------------------------------------------------
@@ -463,6 +518,29 @@ def test_flow_control_blocks_publisher_thread_until_drained():
     t.join()
 
 
+@pytest.mark.parametrize("free", ["nack_drop", "expire", "auto_ack_pull"])
+def test_flow_control_releases_when_memory_is_freed_without_ack(free):
+    now = [0]
+    eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none", memory_budget_bytes=1000)
+    chan = direct_setup(eng)
+    for i in range(9):
+        eng.publish(chan, "ex", msg(i, rk="k", payload=b"y" * 100, ttl=1))
+    assert eng.flow_control_engaged()
+    cons = eng.consume(
+        "q0", "c1", ConsumeMode.PULL, prefetch=100, auto_ack=free == "auto_ack_pull"
+    )
+    if free == "nack_drop":
+        for d in cons.pull(100):
+            cons.nack(d.tag, requeue=False)
+    elif free == "expire":
+        now[0] = 2_000_000  # past the 1 ms TTL
+        assert eng.expire_ttl("q0") == 9
+    else:
+        assert len(cons.pull(100)) == 9
+    assert eng.bodies.live_payload_bytes() == 0
+    assert not eng.flow_control_engaged()
+
+
 # --------------------------------------------------------------------------
 # transactions
 # --------------------------------------------------------------------------
@@ -628,3 +706,353 @@ def test_validate_topology_reports_problems():
            "bindings": [{"exchange": "missing", "queue": "q"}]}
     problems = validate_topology(bad)
     assert len(problems) >= 2
+
+
+# --------------------------------------------------------------------------
+# queue indexes and memory counters against full recounts and a list model
+# --------------------------------------------------------------------------
+
+def recount(bodies):
+    """Live and spilled payload bytes summed over every stored body."""
+    stored = bodies._bodies.values()
+    return (
+        sum(len(b.data) for b in stored),
+        sum(len(b.spilled_blob) for b in stored if b.spilled_blob is not None),
+    )
+
+
+def test_body_store_counters_equal_a_recount():
+    eng = make_engine(spill_read_ns=0)
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.FANOUT))
+    eng.declare_queue(QueueSpec("q0", memory_cap_bytes=500, spill_to_disk=True, durable=True))
+    eng.declare_queue(QueueSpec("q1"))
+    for q in ("q0", "q1"):
+        eng.bind(BindingSpec("ex", q))
+    chan = eng.channel()
+
+    def counters():
+        return eng.bodies.live_payload_bytes(), eng.bodies.spilled_bytes()
+
+    for i in range(10):
+        eng.publish(chan, "ex", msg(i, payload=b"p" * (50 + 10 * i)), persistent=i % 2 == 0)
+        assert counters() == recount(eng.bodies)
+    assert eng.bodies.spilled_bytes() > 0
+    c0 = eng.consume("q0", "c0", ConsumeMode.PULL, prefetch=100)
+    c1 = eng.consume("q1", "c1", ConsumeMode.PULL, prefetch=100)
+    for d in c0.pull(3):  # unspills, then releases q0's references
+        assert d.from_spill
+        c0.ack(d.tag)
+        assert counters() == recount(eng.bodies)
+    c0.pull(2)  # held unacked through the crash
+    for d in c1.pull(4):  # the last references of seqs 0-2 go
+        c1.ack(d.tag)
+    assert counters() == recount(eng.bodies)
+    home = home_node_of(eng, "q0")
+    eng.crash_node(home)
+    assert counters() == recount(eng.bodies)
+    eng.restart_node(home)
+    assert counters() == recount(eng.bodies)
+    for cons in (c0, c1):
+        for d in cons.pull(100):
+            cons.ack(d.tag)
+    assert counters() == recount(eng.bodies) == (0, 0)
+    assert eng.bodies.count() == 0
+
+
+class ListQueue:
+    """The list-based queue that `_Queue` replaced, kept as a reference
+    model: linear scans for deduplication, insert position, expiry, memory
+    and spill, `pop(0)` at the head."""
+
+    def __init__(self, spec, home_node):
+        self.spec = spec
+        self.home_node = home_node
+        self.entries = []
+        self.unacked = {}
+        self.consumers = {}
+        self._rr = 0
+        self.lock = threading.RLock()
+        self.spilled_ever = False
+        self.available = True
+
+    def insert(self, entry):
+        for e in self.entries:
+            if e.flow == entry.flow and e.seq == entry.seq:
+                return False
+        idx = len(self.entries)
+        for i, e in enumerate(self.entries):
+            if e.flow == entry.flow and e.seq > entry.seq:
+                idx = i
+                break
+        self.entries.insert(idx, entry)
+        return True
+
+    def pop_head(self):
+        return self.entries.pop(0)
+
+    def remove(self, doomed):
+        kept, removed = [], []
+        for e in self.entries:
+            (removed if doomed(e) else kept).append(e)
+        self.entries = kept
+        return removed
+
+    def expire(self, now):
+        def expired(e):
+            ttl = e.ttl_ms if e.ttl_ms is not None else self.spec.default_ttl
+            return ttl is not None and e.produced_at + ttl * 1_000_000 < now
+
+        return self.remove(expired)
+
+    def spill(self, cap, spill_body):
+        spilled = 0
+        mem = self.memory_bytes()
+        for e in self.entries:
+            if mem <= cap:
+                break
+            if e.spilled:
+                continue
+            mem -= spill_body(e.body_id)
+            e.spilled = True
+            self.spilled_ever = True
+            spilled += 1
+        return spilled
+
+    def memory_bytes(self):
+        return sum(e.size for e in self.entries if not e.spilled)
+
+
+def model_pair(rng):
+    """Two engines with the same topology, one on the list-based queues.
+    "q0" gets a random spec; "side" shares every body, so one queue's spill
+    can find a body the other already spilled."""
+    now = [0]
+    spec = QueueSpec(
+        "q0",
+        max_length=rng.choice([None, 4, 12]),
+        overflow=rng.choice(list(OverflowPolicy)),
+        default_ttl=rng.choice([None, 3, 30]),
+        memory_cap_bytes=rng.choice([None, 150, 600]),
+        spill_to_disk=True,
+        mirrors=rng.choice([(), ("n1", "n2")]),
+        durable=rng.random() < 0.5,
+    )
+    side = QueueSpec("side", memory_cap_bytes=rng.choice([None, 300]), spill_to_disk=True)
+    side_auto_ack = rng.random() < 0.5
+    engines = []
+    for model in (False, True):
+        eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none")
+        eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.FANOUT))
+        for qspec in (spec, side):
+            eng.declare_queue(qspec)
+            eng.bind(BindingSpec("ex", qspec.name))
+            if model:
+                q = eng._queue("/", qspec.name)
+                eng.vhosts["/"].queues[qspec.name] = ListQueue(qspec, q.home_node)
+        eng.consume("q0", "c0", ConsumeMode.PULL, prefetch=6)
+        eng.consume("side", "c1", ConsumeMode.PULL, prefetch=6, auto_ack=side_auto_ack)
+        engines.append(eng)
+    return engines, now
+
+
+def observe(eng):
+    state = [eng.payload_bytes(), eng.bodies.count()]
+    for name in ("q0", "side"):
+        q = eng._queue("/", name)
+        state.append((
+            [(e.flow, e.seq) for e in q.entries],
+            q.memory_bytes(),
+            eng.spilled_entry_count(name),
+            eng.unacked_count(name),
+            eng.has_spilled(name),
+        ))
+    return state
+
+
+def apply(eng, op):
+    kind, args = op[0], op[1:]
+    try:
+        if kind == "publish":
+            c = eng.publish(eng.test_channel, "ex", args[0], persistent=args[1])
+            return (c.ack, c.publish_seq, c.routed_count, c.reason)
+        if kind == "pull":
+            queue, consumer, n = args
+            return [
+                (d.tag, d.message.flow_id, d.message.seq_no, d.message.payload,
+                 d.redelivered, d.from_spill)
+                for d in eng.pull(queue, consumer, n)
+            ]
+        if kind == "ack":
+            return eng.ack(*args)
+        if kind == "nack":
+            queue, tag, requeue = args
+            return eng.nack(queue, tag, requeue=requeue)
+        if kind == "expire":
+            return eng.expire_ttl(*args)
+        if kind == "limits":
+            return eng.enforce_limits(*args)
+        if kind == "crash":
+            return eng.crash_node(*args)
+        return eng.restart_node(*args)
+    except (BrokerDown, ExchError) as e:
+        return type(e).__name__
+
+
+def random_op(rng, state, now):
+    """One operation, drawn from `state`: next seq per flow, tags held
+    unacked on q0, nodes down."""
+    roll = rng.random()
+    if roll < 0.45:
+        flow = rng.choice(("f0", "f1", "f2"))
+        top = state["next"][flow]
+        r = rng.random()
+        if r < 0.7:
+            seq = top
+        elif r < 0.9:
+            seq = rng.randrange(top + 1)  # retransmit or duplicate
+        else:
+            seq = top + rng.randint(1, 3)  # a gap a later retransmit fills
+        state["next"][flow] = max(top, seq + 1)
+        m = msg(seq, flow=flow, payload=bytes([seq % 256]) * rng.randint(1, 120),
+                ttl=rng.choice([None, None, 1, 5, 50]), produced_at=now[0])
+        return ("publish", m, rng.random() < 0.5)
+    if roll < 0.65:
+        queue, consumer = rng.choice((("q0", "c0"), ("side", "c1")))
+        return ("pull", queue, consumer, rng.randint(1, 4))
+    if roll < 0.78 and state["held"]:
+        tag = state["held"].pop(rng.randrange(len(state["held"])))
+        r = rng.random()
+        if r < 0.5:
+            return ("ack", "q0", tag)
+        return ("nack", "q0", tag, r < 0.85)
+    if roll < 0.86:
+        now[0] += rng.choice((1, 2, 10)) * 1_000_000
+        return ("expire", rng.choice(("q0", "side")))
+    if roll < 0.9:
+        return ("limits", rng.choice(("q0", "side")))
+    if roll < 0.95 and len(state["down"]) < 2:
+        node = rng.choice([n for n in ("n0", "n1", "n2") if n not in state["down"]])
+        state["down"].add(node)
+        return ("crash", node)
+    if state["down"]:
+        node = rng.choice(sorted(state["down"]))
+        state["down"].discard(node)
+        return ("restart", node)
+    return ("expire", "q0")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_queue_indexes_match_the_list_model(seed):
+    rng = random.Random(seed)
+    (fast, model), now = model_pair(rng)
+    for eng in (fast, model):
+        eng.test_channel = eng.channel()
+    state = {"next": {"f0": 0, "f1": 0, "f2": 0}, "held": [], "down": set()}
+    for step in range(300):
+        op = random_op(rng, state, now)
+        got, want = apply(fast, op), apply(model, op)
+        assert got == want, (step, op)
+        if op[0] == "pull" and op[1] == "q0" and isinstance(got, list):
+            state["held"].extend(d[0] for d in got)
+        assert observe(fast) == observe(model), (step, op)
+
+
+def test_threaded_publish_pull_ack_keeps_every_promise():
+    """Producers, consumers and a binder race on one topic exchange; every
+    message reaches its work queue and the audit queue exactly once, in
+    per-flow order."""
+    flows, per_flow = 4, 400
+    eng = ExchEngine(3, latency_mode="none")
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    eng.declare_queue(QueueSpec("audit", default_ttl=3_600_000, memory_cap_bytes=4096, spill_to_disk=True))
+    eng.bind(BindingSpec("ex", "audit", pattern="#"))
+    for i in range(flows):
+        eng.declare_queue(QueueSpec(f"w{i}", durable=True))
+        eng.bind(BindingSpec("ex", f"w{i}", pattern=f"p{i}.*"))
+    produced, work, audit = Journal(), Journal(), Journal()
+    routed_wrong = []
+    done = threading.Event()
+
+    def produce(i):
+        chan = eng.channel()
+        for seq in range(per_flow):
+            # stamped on the engine's clock so the audit TTL never runs out
+            m = Message(f"f{i}", seq, payload=b"x" * (seq % 200),
+                        routing_key=f"p{i}.s{seq % 7}", produced_at=time.monotonic_ns())
+            produced.append(m.flow_id, seq, JournalEvent.PRODUCED, time.monotonic_ns())
+            confirm = eng.publish(chan, "ex", m, persistent=True)
+            if confirm.routed_count != 2:
+                routed_wrong.append((m.flow_id, seq, confirm.routed_count))
+            produced.append(m.flow_id, seq, JournalEvent.CONFIRMED, time.monotonic_ns())
+
+    def consume(queue, journal, expected):
+        handle = eng.consume(queue, f"c-{queue}", ConsumeMode.PULL, prefetch=16)
+        got = 0
+        while got < expected and not done.is_set():
+            batch = handle.pull(8)
+            for d in batch:
+                journal.append(d.message.flow_id, d.message.seq_no, JournalEvent.DELIVERED,
+                               time.monotonic_ns())
+                handle.ack(d.tag)
+            got += len(batch)
+            if not batch:
+                time.sleep(0.0005)
+
+    def bind_dead_patterns():
+        for j in range(40):
+            eng.bind(BindingSpec("ex", f"w{j % flows}", pattern=f"zz{j}.#"))
+            time.sleep(0.0005)
+
+    threads = [threading.Thread(target=produce, args=(i,)) for i in range(flows)]
+    threads += [threading.Thread(target=consume, args=(f"w{i}", work, per_flow)) for i in range(flows)]
+    threads.append(threading.Thread(target=consume, args=("audit", audit, flows * per_flow)))
+    threads.append(threading.Thread(target=bind_dead_patterns))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert routed_wrong == []
+    qos = QoSConfig(ordering=Ordering.PER_CHANNEL)
+    for consumed in (work, audit):
+        report = check_correctness(produced, consumed, qos)
+        assert report.violations == ()
+    assert len(work) == len(audit) == flows * per_flow
+    assert eng.total_entries() == 0 and eng.bodies.count() == 0
+
+
+def publish_cpu_ns(depth, publishes=400, runs=5):
+    """Least thread CPU over `runs` runs of `publishes` publishes into a
+    full drop-oldest queue of `depth` entries with a TTL and spill."""
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    eng.declare_queue(QueueSpec(
+        "audit", max_length=depth, default_ttl=3_600_000,
+        memory_cap_bytes=depth * 50, spill_to_disk=True,
+    ))
+    eng.bind(BindingSpec("ex", "audit", pattern="#"))
+    chan = eng.channel()
+    seqs = itertools.count()
+    for _ in range(depth):
+        eng.publish(chan, "ex", msg(next(seqs), rk="a.b", payload=b"x" * 100))
+    best = None
+    for _ in range(runs):
+        batch = [msg(next(seqs), rk="a.b", payload=b"x" * 100) for _ in range(publishes)]
+        start = time.thread_time_ns()
+        for m in batch:
+            eng.publish(chan, "ex", m)
+        spent = time.thread_time_ns() - start
+        best = spent if best is None else min(best, spent)
+    assert eng.queue_depth("audit") == depth
+    return best
+
+
+def test_publish_cost_is_flat_in_queue_depth():
+    shallow, deep = publish_cpu_ns(1_000), publish_cpu_ns(16_000)
+    assert deep < 3 * shallow, (shallow, deep)
