@@ -330,9 +330,14 @@ class _BodyStore:
                 if body.spilled_blob is not None:
                     self._spilled_bytes -= len(body.spilled_blob)
 
-    def get(self, bid: int) -> bytes:
+    def read(self, bid: int) -> tuple[bytes, bool]:
+        """The body and whether it came from the spill tier.  A body another
+        queue spilled is read from there and left there."""
         with self._lock:
-            return self._bodies[bid].data
+            body = self._bodies[bid]
+            if body.spilled_blob is not None:
+                return body.spilled_blob, True
+            return body.data, False
 
     def spill(self, bid: int) -> int:
         """Move the body to the secondary tier; returns bytes moved."""
@@ -1067,14 +1072,16 @@ class ExchEngine(BrokerContract):
             cons = q.consumers.get(cid)
             if cons is None:
                 return None
-            payload = self.bodies.get(entry.body_id)
+            payload, from_spill = self.bodies.read(entry.body_id)
+            if from_spill and self.spill_read_ns:
+                spin_ns(self.spill_read_ns)
             dup = Delivery(
                 tag=tag,
                 queue=q.spec.name,
                 consumer_id=cid,
                 message=self._entry_message(entry, payload),
                 redelivered=True,
-                from_spill=False,
+                from_spill=from_spill,
             )
             return dup
 
@@ -1127,14 +1134,14 @@ class ExchEngine(BrokerContract):
         if not q.entries:
             return None
         entry = q.pop_head()
-        from_spill = entry.spilled
-        if from_spill:
+        if entry.spilled:
             payload = self.bodies.unspill(entry.body_id)
             entry.spilled = False
-            if self.spill_read_ns:
-                spin_ns(self.spill_read_ns)
+            from_spill = True
         else:
-            payload = self.bodies.get(entry.body_id)
+            payload, from_spill = self.bodies.read(entry.body_id)
+        if from_spill and self.spill_read_ns:
+            spin_ns(self.spill_read_ns)
         tag = self._next_tag
         self._next_tag += 1
         entry.delivery_count += 1

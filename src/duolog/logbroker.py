@@ -10,20 +10,27 @@ Simulated nodes are in-process storage domains with a volatile and a durable
 region: a crash discards everything above the flushed watermark, which is
 what reproduces fsync-window loss without real disks.
 
-Segment layout (both the in-memory buffers and the optional `.seg` files):
-little-endian, length-prefixed records of
+Record layout: little-endian, length-prefixed records of
 
     u32 payload length | u32 header-block length | u64 offset |
-    u64 produced_at_ns | header-block bytes | payload bytes
+    u64 produced_at_ns | header block | payload bytes
 
-where the header block is compact JSON carrying flow id, sequence number,
-key, routing key, headers and TTL.  One file per segment, named
-`<base_offset>.seg`.
+where the header block is a fixed struct
+
+    u8 version | i64 seq | i64 ttl_ms | u32 flow length | u32 key length |
+    u32 routing-key length | u32 headers length
+
+followed by the UTF-8 flow id, the key, the UTF-8 routing key and, when
+non-empty, the compact-JSON headers.  A length of 0xFFFFFFFF stands for
+None (so `key=b""` stays distinct from no key) and a ttl of -2**63 for no
+TTL.  Each record is encoded once on append; in memory a segment is a list
+of those immutable records, shared by every replica of the partition.  The
+optional `.seg` files, one per segment named `<base_offset>.seg`, hold the
+segment's records concatenated.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 import threading
@@ -32,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, SimNode, spin_ns
 from .hashing import stable_hash64
@@ -177,47 +184,77 @@ class CompactReport:
 # --------------------------------------------------------------------------
 
 _RECORD_HEADER = struct.Struct("<IIQQ")
+# the prefix, then the fixed part of the header block: version, seq, ttl_ms,
+# and the lengths of flow id, key, routing key and headers
+_RECORD = struct.Struct("<IIQQBqqIIII")
+_FIXED = _RECORD.size - _RECORD_HEADER.size
+RECORD_VERSION = 1
+_NONE_LEN = 0xFFFFFFFF  # a length field's "None"
+_NO_TTL = -(1 << 63)
 
 
 def encode_record(offset: int, msg: Message) -> bytes:
-    meta = {
-        "flow": msg.flow_id,
-        "seq": msg.seq_no,
-        "headers": msg.headers,
-    }
-    if msg.key is not None:
-        meta["key"] = base64.b64encode(msg.key).decode("ascii")
-    if msg.routing_key is not None:
-        meta["rk"] = msg.routing_key
-    if msg.ttl_ms is not None:
-        meta["ttl_ms"] = msg.ttl_ms
-    header_block = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    return (
-        _RECORD_HEADER.pack(len(msg.payload), len(header_block), offset, msg.produced_at)
-        + header_block
-        + bytes(msg.payload)
+    flow = b"" if msg.flow_id is None else msg.flow_id.encode()
+    key = b"" if msg.key is None else msg.key
+    rk = b"" if msg.routing_key is None else msg.routing_key.encode()
+    headers = (
+        json.dumps(msg.headers, sort_keys=True, separators=(",", ":")).encode()
+        if msg.headers else b""
     )
+    payload = msg.payload
+    return b"".join((
+        _RECORD.pack(
+            len(payload),
+            _FIXED + len(flow) + len(key) + len(rk) + len(headers),
+            offset,
+            msg.produced_at,
+            RECORD_VERSION,
+            msg.seq_no,
+            _NO_TTL if msg.ttl_ms is None else msg.ttl_ms,
+            _NONE_LEN if msg.flow_id is None else len(flow),
+            _NONE_LEN if msg.key is None else len(key),
+            _NONE_LEN if msg.routing_key is None else len(rk),
+            len(headers),
+        ),
+        flow, key, rk, headers, payload,
+    ))
 
 
 def decode_record(buf: bytes, pos: int = 0) -> tuple[int, Message, int]:
     """Decode one record at `pos`; returns (offset, message, next_pos)."""
-    payload_len, header_len, offset, produced_at = _RECORD_HEADER.unpack_from(buf, pos)
-    pos += _RECORD_HEADER.size
-    meta = json.loads(bytes(buf[pos:pos + header_len]))
-    pos += header_len
-    payload = bytes(buf[pos:pos + payload_len])
-    pos += payload_len
+    (payload_len, _, offset, produced_at, version, seq, ttl,
+     flow_len, key_len, rk_len, headers_len) = _RECORD.unpack_from(buf, pos)
+    if version != RECORD_VERSION:
+        raise ValueError(f"record version {version} at {pos} is not {RECORD_VERSION}")
+    pos += _RECORD.size
+    flow = None
+    if flow_len != _NONE_LEN:
+        flow = buf[pos:pos + flow_len].decode()
+        pos += flow_len
+    key = None
+    if key_len != _NONE_LEN:
+        key = buf[pos:pos + key_len]
+        pos += key_len
+    rk = None
+    if rk_len != _NONE_LEN:
+        rk = buf[pos:pos + rk_len].decode()
+        pos += rk_len
+    headers = {}
+    if headers_len:
+        headers = json.loads(buf[pos:pos + headers_len])
+        pos += headers_len
+    end = pos + payload_len
     msg = Message(
-        flow_id=meta["flow"],
-        seq_no=meta["seq"],
-        payload=payload,
-        key=base64.b64decode(meta["key"]) if "key" in meta else None,
-        routing_key=meta.get("rk"),
-        headers=meta.get("headers", {}),
+        flow_id=flow,
+        seq_no=seq,
+        payload=buf[pos:end],
+        key=key,
+        routing_key=rk,
+        headers=headers,
         produced_at=produced_at,
-        ttl_ms=meta.get("ttl_ms"),
+        ttl_ms=None if ttl == _NO_TTL else ttl,
     )
-    return offset, msg, pos
+    return offset, msg, end
 
 
 def iter_records(buf: bytes) -> Iterator[tuple[int, Message]]:
@@ -227,13 +264,13 @@ def iter_records(buf: bytes) -> Iterator[tuple[int, Message]]:
         yield offset, msg
 
 
-def record_key(buf: bytes, pos: int) -> tuple[int, Optional[bytes], int]:
+def record_key(buf: bytes, pos: int = 0) -> tuple[int, Optional[bytes], int]:
     """Offset, key and next_pos of the record at `pos`, without a full decode."""
-    payload_len, header_len, offset, _ = _RECORD_HEADER.unpack_from(buf, pos)
-    pos += _RECORD_HEADER.size
-    meta = json.loads(bytes(buf[pos:pos + header_len]))
-    key = base64.b64decode(meta["key"]) if "key" in meta else None
-    return offset, key, pos + header_len + payload_len
+    (payload_len, header_len, offset, _, _, _, _,
+     flow_len, key_len, _, _) = _RECORD.unpack_from(buf, pos)
+    start = pos + _RECORD.size + (0 if flow_len == _NONE_LEN else flow_len)
+    key = None if key_len == _NONE_LEN else buf[start:start + key_len]
+    return offset, key, pos + _RECORD_HEADER.size + header_len + payload_len
 
 
 # --------------------------------------------------------------------------
@@ -241,56 +278,45 @@ def record_key(buf: bytes, pos: int) -> tuple[int, Optional[bytes], int]:
 # --------------------------------------------------------------------------
 
 class Segment:
-    """One contiguous buffer region of a partition log.
+    """One contiguous run of a partition log: the encoded records and their
+    offsets, in parallel lists.
 
-    Offsets may be sparse after compaction, so each record's offset is kept
-    alongside its byte position.
+    Offsets may be sparse after compaction.  Record `bytes` are immutable,
+    so every replica of a partition holds the same objects; `size_bytes`
+    still counts each segment's logical bytes.
     """
 
-    __slots__ = ("base_offset", "buf", "offsets", "positions")
+    __slots__ = ("base_offset", "offsets", "records", "size_bytes")
 
     def __init__(self, base_offset: int) -> None:
         self.base_offset = base_offset
-        self.buf = bytearray()
         self.offsets: list[int] = []
-        self.positions: list[int] = []
-
-    def append_encoded(self, offset: int, rec: bytes) -> None:
-        self.offsets.append(offset)
-        self.positions.append(len(self.buf))
-        self.buf += rec
+        self.records: list[bytes] = []
+        self.size_bytes = 0
 
     @property
     def count(self) -> int:
         return len(self.offsets)
 
     @property
-    def size_bytes(self) -> int:
-        return len(self.buf)
-
-    @property
     def last_offset(self) -> int:
         return self.offsets[-1]
-
-    def record_bytes(self, i: int) -> bytes:
-        end = self.positions[i + 1] if i + 1 < len(self.positions) else len(self.buf)
-        return bytes(self.buf[self.positions[i]:end])
 
     def truncate_from(self, offset: int) -> int:
         """Drop records with offset >= `offset`; returns how many were cut."""
         i = bisect_left(self.offsets, offset)
         cut = len(self.offsets) - i
         if cut:
-            del self.buf[self.positions[i]:]
+            self.size_bytes -= sum(map(len, self.records[i:]))
             del self.offsets[i:]
-            del self.positions[i:]
+            del self.records[i:]
         return cut
 
     def clone(self) -> "Segment":
         s = Segment(self.base_offset)
-        s.buf = bytearray(self.buf)
         s.offsets = list(self.offsets)
-        s.positions = list(self.positions)
+        s.records = list(self.records)
+        s.size_bytes = self.size_bytes
         return s
 
 
@@ -314,14 +340,27 @@ class Replica:
         # compaction leaves it alone and merely makes the log sparse
         self.start_offset = 0
 
-    def append_encoded(self, records: list[tuple[int, bytes]], segment_bytes: int) -> None:
-        for offset, rec in records:
-            tail = self.segments[-1] if self.segments else None
-            if tail is None or (tail.count > 0 and tail.size_bytes + len(rec) > segment_bytes):
-                tail = Segment(offset)
-                self.segments.append(tail)
-            tail.append_encoded(offset, rec)
-            self.next_offset = offset + 1
+    def append_encoded(
+        self, offsets: Sequence[int], records: Sequence[bytes], segment_bytes: int
+    ) -> None:
+        """Append already-encoded records, rolling a new segment whenever
+        the next record would push a non-empty tail past `segment_bytes`."""
+        tail = self.segments[-1] if self.segments else None
+        size = sum(map(len, records))
+        if tail is not None and tail.size_bytes + size <= segment_bytes:
+            # the whole batch fits the tail, so no record would roll a segment
+            tail.offsets.extend(offsets)
+            tail.records.extend(records)
+            tail.size_bytes += size
+        else:
+            for offset, rec in zip(offsets, records):
+                if tail is None or (tail.count > 0 and tail.size_bytes + len(rec) > segment_bytes):
+                    tail = Segment(offset)
+                    self.segments.append(tail)
+                tail.offsets.append(offset)
+                tail.records.append(rec)
+                tail.size_bytes += len(rec)
+        self.next_offset = offsets[-1] + 1
 
     def log_start_offset(self) -> int:
         return self.start_offset
@@ -337,9 +376,7 @@ class Replica:
             if seg.count == 0 or seg.last_offset < offset:
                 continue
             i = bisect_left(seg.offsets, offset)
-            while i < len(seg.offsets):
-                yield seg.offsets[i], seg.record_bytes(i)
-                i += 1
+            yield from zip(seg.offsets[i:], seg.records[i:])
 
     def truncate_to_flushed(self) -> int:
         """Discard the volatile region (offsets >= flushed_up_to)."""
@@ -572,10 +609,10 @@ class LogEngine(BrokerContract):
             leader = self._leader(part)
             self._fire_fault("pre_commit", topic, partition)
             base = leader.next_offset
-            records = [
-                (base + i, encode_record(base + i, msg)) for i, msg in enumerate(msgs)
-            ]
-            leader.append_encoded(records, t.config.segment_bytes)
+            # encoded once; every replica holds the same record and offset objects
+            offsets = list(range(base, base + len(msgs)))
+            records = [encode_record(off, msg) for off, msg in zip(offsets, msgs)]
+            leader.append_encoded(offsets, records, t.config.segment_bytes)
             self._maybe_flush(leader, t.config, len(records))
             self._fire_fault("post_leader", topic, partition)
             acceptors = 1
@@ -585,7 +622,7 @@ class LogEngine(BrokerContract):
                 if rep.next_offset < base:
                     self._catch_up(rep, leader, t.config)
                 if rep.next_offset == base:
-                    rep.append_encoded(records, t.config.segment_bytes)
+                    rep.append_encoded(offsets, records, t.config.segment_bytes)
                     self._maybe_flush(rep, t.config, len(records))
                 if rep.next_offset >= base + len(records):
                     acceptors += 1
@@ -736,9 +773,8 @@ class LogEngine(BrokerContract):
             last_per_key: dict[bytes, int] = {}
             total = 0
             for seg in leader.segments:
-                pos = 0
-                while pos < len(seg.buf):
-                    off, key, pos = record_key(seg.buf, pos)
+                for rec in seg.records:
+                    off, key, _ = record_key(rec)
                     if key is None:
                         raise KeylessMessage(f"offset {off} has no key")
                     last_per_key[key] = off
@@ -830,7 +866,8 @@ class LogEngine(BrokerContract):
     def _catch_up(self, rep: Replica, leader: Replica, cfg: TopicConfig) -> None:
         missing = list(leader.records_from(rep.next_offset))
         if missing:
-            rep.append_encoded(missing, cfg.segment_bytes)
+            offsets, records = zip(*missing)
+            rep.append_encoded(offsets, records, cfg.segment_bytes)
 
     def _maybe_flush(self, rep: Replica, cfg: TopicConfig, _just_appended: int) -> None:
         unflushed = rep.next_offset - rep.flushed_up_to
@@ -855,7 +892,7 @@ class LogEngine(BrokerContract):
             if seg.count == 0:
                 continue
             tmp = d / f".{seg.base_offset:020d}.seg.tmp"
-            tmp.write_bytes(bytes(seg.buf))
+            tmp.write_bytes(b"".join(seg.records))
             tmp.replace(d / f"{seg.base_offset:020d}.seg")
 
     def _retention_violated(self, rep: Replica, pol: RetentionPolicy, now: int) -> bool:
@@ -867,7 +904,7 @@ class LogEngine(BrokerContract):
             return True
         if pol.max_age_ms is not None:
             seg = rep.segments[0]
-            _, _, oldest_off, produced_at = _RECORD_HEADER.unpack_from(seg.buf, 0)
+            produced_at = _RECORD_HEADER.unpack_from(seg.records[0])[3]
             if produced_at + pol.max_age_ms * 1_000_000 < now:
                 return True
         return False
@@ -882,14 +919,17 @@ class LogEngine(BrokerContract):
                     break
 
     def _rewrite_with(self, rep: Replica, survivors: set[int], segment_bytes: int) -> None:
-        kept: list[tuple[int, bytes]] = []
+        offsets: list[int] = []
+        records: list[bytes] = []
         for seg in rep.segments:
-            for i, off in enumerate(seg.offsets):
+            for off, rec in zip(seg.offsets, seg.records):
                 if off in survivors:
-                    kept.append((off, seg.record_bytes(i)))
+                    offsets.append(off)
+                    records.append(rec)
         next_off, flushed = rep.next_offset, rep.flushed_up_to
         rep.segments = []
-        rep.append_encoded(kept, segment_bytes)
+        if records:
+            rep.append_encoded(offsets, records, segment_bytes)
         rep.next_offset, rep.flushed_up_to = next_off, flushed
 
     def _fire_fault(self, phase: str, topic: str, partition: int) -> None:

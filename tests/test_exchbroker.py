@@ -479,6 +479,31 @@ def test_spill_keeps_order_and_sets_flag():
     assert any(d.from_spill for d in got)
 
 
+def test_body_spilled_by_another_queue_is_delivered_whole():
+    # one body, two queue entries: the capped queue spills it, the plain
+    # queue's entry is not spilled but must still deliver the payload
+    eng = make_engine(spill_read_ns=0)
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.FANOUT))
+    eng.declare_queue(QueueSpec("spill", memory_cap_bytes=100, spill_to_disk=True))
+    eng.declare_queue(QueueSpec("plain"))
+    eng.bind(BindingSpec("ex", "spill"))
+    eng.bind(BindingSpec("ex", "plain"))
+    chan = eng.channel()
+    sent = [bytes([65 + i]) * 40 for i in range(8)]
+    for i, payload in enumerate(sent):
+        eng.publish(chan, "ex", msg(i, payload=payload))
+    assert eng.spilled_entry_count("spill") >= 1
+    spilled_before = eng.bodies.spilled_bytes()
+    plain = eng.consume("plain", "c1", ConsumeMode.PULL, prefetch=100).pull(100)
+    assert [d.message.payload for d in plain] == sent
+    assert any(d.from_spill for d in plain)
+    # read in place: the plain queue's deliveries move no body back
+    assert eng.bodies.spilled_bytes() == spilled_before
+    assert eng.redeliver_unacked("plain", plain[0].tag).message.payload == sent[0]
+    spill = eng.consume("spill", "c2", ConsumeMode.PULL, prefetch=100).pull(100)
+    assert [d.message.payload for d in spill] == sent
+
+
 def test_flow_control_engages_and_releases():
     eng = ExchEngine(3, clock=lambda: 0, latency_mode="none", memory_budget_bytes=1000)
     chan = direct_setup(eng)

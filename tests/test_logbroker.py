@@ -1,6 +1,7 @@
 """Log engine: topics, appends, acks, fetch gating, groups, retention,
 compaction, movement and crash semantics."""
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from duolog.logbroker import (
     iter_records,
     partition_for,
     quorum_size,
+    record_key,
 )
 
 NO_TIME_FLUSH = FlushPolicy(flush_interval_messages=10_000, flush_interval_ms=None)
@@ -63,8 +65,53 @@ def test_record_layout_golden():
     header_len = int.from_bytes(rec[4:8], "little")
     assert rec[8:16] == (3).to_bytes(8, "little")
     assert rec[16:24] == (1).to_bytes(8, "little")
-    assert rec[24:24 + header_len] == b'{"flow":"f","headers":{},"seq":0}'
+    # u8 version | i64 seq | i64 ttl (-2**63: none) | u32 flow, key,
+    # routing-key and headers lengths (0xFFFFFFFF: none) | flow id
+    assert rec[24:24 + header_len] == bytes.fromhex(
+        "01" "0000000000000000" "0000000000000080"
+        "01000000" "ffffffff" "ffffffff" "00000000"
+    ) + b"f"
     assert rec[24 + header_len:] == b"AB"
+
+
+CODEC_CASES = list(itertools.product(
+    [None, b"", b"\x00\xff\x80key"],                            # key
+    [None, "orders.eu.new"],                                   # routing_key
+    [{}, {"trace": {"ids": [1, 2, {"x": None}], "é": "ü"}}],  # headers
+    [None, 0, 7 * 24 * 3600 * 1000 * 1000],                   # ttl_ms
+))
+
+
+@pytest.mark.parametrize("key,rk,headers,ttl", CODEC_CASES)
+def test_record_codec_round_trips_every_field_combination(key, rk, headers, ttl):
+    m = Message(
+        "flüß-流", 2**62, payload=b"\x00body\xff", key=key, routing_key=rk,
+        headers=headers, produced_at=2**64 - 1, ttl_ms=ttl,
+    )
+    rec = encode_record(2**40, m)
+    assert decode_record(rec) == (2**40, m, len(rec))
+    assert record_key(rec) == (2**40, key, len(rec))
+
+
+def test_record_codec_walks_concatenated_records():
+    batch = [
+        Message("f", i, payload=b"p" * i, key=key, routing_key=rk, headers=h, ttl_ms=ttl)
+        for i, (key, rk, h, ttl) in enumerate(CODEC_CASES)
+    ]
+    buf = b"".join(encode_record(10 + i, m) for i, m in enumerate(batch))
+    assert list(iter_records(buf)) == [(10 + i, m) for i, m in enumerate(batch)]
+    pos, keys = 0, []
+    while pos < len(buf):
+        _, key, pos = record_key(buf, pos)
+        keys.append(key)
+    assert keys == [m.key for m in batch]
+
+
+def test_record_codec_rejects_unknown_version():
+    rec = bytearray(encode_record(0, Message("f", 0)))
+    rec[24] = 99
+    with pytest.raises(ValueError):
+        decode_record(bytes(rec))
 
 
 # --------------------------------------------------------------------------
@@ -486,6 +533,90 @@ def test_move_rf1_succeeds():
 
 
 # --------------------------------------------------------------------------
+# records shared by replicas
+# --------------------------------------------------------------------------
+
+def replica_records(eng, topic, partition):
+    return [list(rep.records_from(0)) for rep in eng._topic(topic).partitions[partition].replicas]
+
+
+def shares_records(a, b):
+    return len(a) == len(b) and all(
+        oa == ob and ra is rb for (oa, ra), (ob, rb) in zip(a, b)
+    )
+
+
+def fetch_from_each_replica(eng, topic, partition):
+    """Fetch everything once per replica, with that replica the only one up."""
+    eng.flush_all(topic)
+    nodes = [rep.node_id for rep in eng._topic(topic).partitions[partition].replicas]
+    out = []
+    for node in nodes:
+        others = [n for n in nodes if n != node]
+        for n in others:
+            eng.crash_node(n)
+        out.append(eng.fetch(topic, partition, 0, max_bytes=1 << 30))
+        for n in others:
+            eng.restart_node(n)
+    return out
+
+
+def test_replicas_share_each_encoded_record():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=3, flush=NO_TIME_FLUSH))
+    eng.append_batch("t", 0, msgs("f", 0, 20, payload=b"q" * 30), LogAckMode.ACKS_QUORUM)
+    leader, *followers = replica_records(eng, "t", 0)
+    for records in followers:
+        assert shares_records(leader, records)
+    # shared objects, but each replica's logical bytes still count
+    one_copy = sum(len(rec) for _, rec in leader)
+    assert eng.payload_bytes() == 3 * one_copy
+
+
+def test_follower_crash_and_restart_leave_leader_records_intact():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=3, flush=NO_TIME_FLUSH))
+    eng.append_batch("t", 0, msgs("f", 0, 10, payload=b"a" * 20), LogAckMode.ACKS_QUORUM)
+    eng.flush_all("t")
+    eng.append_batch("t", 0, msgs("f", 10, 10, payload=b"b" * 20), LogAckMode.ACKS_QUORUM)
+    leader_before = replica_records(eng, "t", 0)[0]
+    fetched_before, _ = eng.fetch("t", 0, 0, max_bytes=1 << 30)
+    eng.crash_node("n1")  # a follower: drops its ten unflushed records
+    leader, follower, _ = replica_records(eng, "t", 0)
+    assert len(follower) == 10
+    assert leader == leader_before
+    assert eng.fetch("t", 0, 0, max_bytes=1 << 30)[0] == fetched_before
+    eng.restart_node("n1")  # catches up from the leader's records
+    leader, follower, _ = replica_records(eng, "t", 0)
+    assert leader == leader_before
+    assert shares_records(leader, follower)
+    assert eng.fetch("t", 0, 0, max_bytes=1 << 30)[0] == fetched_before
+    assert [m.seq_no for m in fetched_before] == list(range(20))
+
+
+def test_replicas_fetch_alike_after_compact_and_move():
+    eng = LogEngine(4, clock=lambda: 0)
+    eng.create_topic(
+        TopicConfig("t", replication_factor=3, segment_bytes=300, flush=NO_TIME_FLUSH)
+    )
+    rng = random.Random(7)
+    for i in range(60):
+        key = b"k%d" % rng.randrange(6)
+        eng.append_batch("t", 0, [Message("f", i, payload=b"%d" % i, key=key)],
+                         LogAckMode.ACKS_QUORUM)
+    eng.compact("t", 0)
+    eng.move_partition("t", 0, "n2", "n3")
+    eng.append_batch("t", 0, msgs("f", 60, 3, key=b"k0"), LogAckMode.ACKS_QUORUM)
+    fetches = fetch_from_each_replica(eng, "t", 0)
+    assert [rep.node_id for rep in eng._topic("t").partitions[0].replicas] == ["n0", "n1", "n3"]
+    assert fetches[0] == fetches[1] == fetches[2]
+    got, hw = fetches[0]
+    assert hw == 63
+    assert [m.seq_no for m in got[-3:]] == [60, 61, 62]
+    assert len({m.key for m in got[:-3]}) == len(got) - 3  # one survivor per key
+
+
+# --------------------------------------------------------------------------
 # multicast statelessness
 # --------------------------------------------------------------------------
 
@@ -505,6 +636,29 @@ def test_storage_independent_of_group_count():
 # --------------------------------------------------------------------------
 # persistence files
 # --------------------------------------------------------------------------
+
+def test_segment_files_read_back_equal_fetch(tmp_path):
+    eng = LogEngine(3, clock=lambda: 0, data_dir=tmp_path)
+    eng.create_topic(
+        TopicConfig("t", replication_factor=3, segment_bytes=400, flush=NO_TIME_FLUSH)
+    )
+    for i in range(6):
+        eng.append_batch(
+            "t", 0, [Message("f", 5 * i + j, payload=b"v" * (10 * j), key=b"k%d" % j,
+                             headers={"i": i} if j % 2 else {}) for j in range(5)],
+            LogAckMode.ACKS_QUORUM,
+        )
+    eng.flush_all("t")
+    for node in ("n0", "n1", "n2"):
+        files = eng.segment_paths("t", 0, node)
+        assert len(files) > 1
+        for f in files:
+            records = list(iter_records(f.read_bytes()))
+            first = records[0][0]
+            assert f.name == f"{first:020d}.seg"
+            got, _ = eng.fetch("t", 0, first, max_bytes=1 << 30)
+            assert [m for _, m in records] == got[:len(records)]
+
 
 def test_segment_files_use_documented_layout(tmp_path):
     eng = LogEngine(1, clock=lambda: 0, data_dir=tmp_path)
