@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 
 # --------------------------------------------------------------------------
@@ -174,12 +174,17 @@ class QoSConfig:
 # journals
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JournalEntry:
+class JournalEntry(NamedTuple):
     flow: str
     seq: int
     event: JournalEvent
     at_ns: int
+
+
+_new_tuple = tuple.__new__  # builds a JournalEntry without its Python-level __new__
+# the JSON text of each event, keyed by its value string: str hashing is
+# done in C, where an Enum key would call Enum.__hash__ for every line
+_EVENT_JSON = {ev.value: json.dumps(ev.value) for ev in JournalEvent}
 
 
 class Journal:
@@ -205,7 +210,7 @@ class Journal:
                     f"({flow}: {at_ns} < {last})"
                 )
             self._last_at[flow] = at_ns
-            self._entries.append(JournalEntry(flow, seq, event, at_ns))
+            self._entries.append(_new_tuple(JournalEntry, (flow, seq, event, at_ns)))
 
     @property
     def entries(self) -> tuple[JournalEntry, ...]:
@@ -227,15 +232,20 @@ class Journal:
         return self.entries == other.entries
 
     def to_jsonl(self) -> str:
-        """One event per line: {"flow":…,"seq":…,"event":…,"at_ns":…}."""
-        lines = [
-            json.dumps(
-                {"flow": e.flow, "seq": e.seq, "event": e.event.value, "at_ns": e.at_ns},
-                separators=(",", ":"),
+        """One event per line: {"flow":…,"seq":…,"event":…,"at_ns":…}.
+
+        Byte-identical to `json.dumps` of that dict with compact separators;
+        each flow id is JSON-encoded once per call."""
+        flow_json: dict = {}
+        lines = []
+        for flow, seq, event, at_ns in self.entries:
+            fj = flow_json.get(flow)
+            if fj is None:
+                fj = flow_json[flow] = json.dumps(flow)
+            lines.append(
+                f'{{"flow":{fj},"seq":{seq},"event":{_EVENT_JSON[event._value_]},"at_ns":{at_ns}}}\n'
             )
-            for e in self.entries
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Journal":

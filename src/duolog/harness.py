@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bench import WorkloadSpec
 from .core import (
@@ -131,12 +131,14 @@ class Phase(Enum):
     T5_ACKED_OR_RETAINED = 5
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
+class PhaseEvent(NamedTuple):
     phase: Phase
     flow: str
     seq: int
     at_ns: int
+
+
+_new_tuple = tuple.__new__  # builds a PhaseEvent without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,8 @@ class _Run:
         scenario.validate()
         self.s = scenario
         self.rng = random.Random(scenario.seed)
+        # what rng.randrange(n) calls for an int n > 0, without its checks
+        self._randbelow = self.rng._randbelow
         self.clock = _VirtualClock()
         self._skew = clock_skew
         self.heap: list = []
@@ -274,27 +278,30 @@ class _Run:
         self.produced = Journal()
         self.consumed = Journal()
         self.phases: list[PhaseEvent] = []
-        self._phase_seen: set = set()
+        # (flow, seq) pairs already recorded, one set per phase, indexed by
+        # the phase's int value so the Phase enum is never hashed
+        self._phase_seen: list[set] = [set() for _ in range(len(Phase) + 1)]
         self.produce_attempts = 0
         self.deliveries = 0
         self.producers_done = False
         self.drain_deadline: Optional[int] = None
         self._confirmed: set = set()
-        self._delivered_once: set = set()
         self._fired: set = set()
 
     # -- scheduling --------------------------------------------------------
 
     def at(self, delay_ns: int, fn, *args) -> None:
-        t = self.clock.t + delay_ns + self.rng.randrange(JITTER_NS)
+        t = self.clock.t + delay_ns + self._randbelow(JITTER_NS)
         if self._skew is not None:
             t += abs(self._skew()) % 1000
         heapq.heappush(self.heap, (t, next(self._seq), fn, args))
 
     def run_loop(self) -> None:
-        while self.heap:
-            t, _, fn, args = heapq.heappop(self.heap)
-            self.clock.t = max(self.clock.t, t)
+        heap, clock, pop = self.heap, self.clock, heapq.heappop
+        while heap:
+            t, _, fn, args = pop(heap)
+            if t > clock.t:
+                clock.t = t
             fn(*args)
 
     # -- recording ----------------------------------------------------------
@@ -303,11 +310,12 @@ class _Run:
         return self.clock.t
 
     def phase(self, phase: Phase, flow: str, seq: int) -> None:
-        key = (phase, flow, seq)
-        if key in self._phase_seen:
+        seen = self._phase_seen[phase._value_]
+        key = (flow, seq)
+        if key in seen:
             return
-        self._phase_seen.add(key)
-        self.phases.append(PhaseEvent(phase, flow, seq, self.now()))
+        seen.add(key)
+        self.phases.append(_new_tuple(PhaseEvent, (phase, flow, seq, self.clock.t)))
 
     def record_produced(self, msg: Message) -> None:
         self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.PRODUCED, self.now())
@@ -333,7 +341,6 @@ class _Run:
         self.phase(Phase.T2_HANDLED, flow, seq)
         self.phase(Phase.T3_CONFIRMED, flow, seq)
         self.phase(Phase.T4_DELIVERED, flow, seq)
-        self._delivered_once.add((flow, seq))
 
     def record_acked(self, flow: str, seq: int) -> None:
         self.consumed.append(flow, seq, JournalEvent.ACKED, self.now())
@@ -347,12 +354,12 @@ class _Run:
                 self.at(ev.at_ms * 1_000_000, apply, ev)
                 self._fired.add(i)
 
-    def due(self, on: str, counter: int, kinds: Optional[set] = None) -> list[FaultEvent]:
+    def due(self, on: str, counter: int, kind: Optional[FaultKind] = None) -> list[FaultEvent]:
         out = []
         for i, ev in enumerate(self.s.faults.events):
             if i in self._fired or ev.on != on:
                 continue
-            if kinds is not None and ev.kind not in kinds:
+            if kind is not None and ev.kind is not kind:
                 continue
             if counter >= ev.index:
                 self._fired.add(i)
@@ -454,7 +461,7 @@ class _Producer:
     def attempt(self, batch: tuple, attempt: int) -> None:
         scn, run = self.scn, self.scn.run
         run.produce_attempts += 1
-        for ev in run.due("produce", run.produce_attempts, kinds={FaultKind.CRASH_NODE}):
+        for ev in run.due("produce", run.produce_attempts, FaultKind.CRASH_NODE):
             scn.apply_fault(ev)
         run.clock.t += T_HANDLE
         if scn.lose_confirmed and batch[-1].seq_no >= 2:
@@ -475,12 +482,10 @@ class _Producer:
                 # t3 is when the broker emits the ack; the producer may see
                 # it later (or, under ack faults, never)
                 run.phase(Phase.T3_CONFIRMED, m.flow_id, m.seq_no)
-        if outcome == "nacked" or run.due(
-            "produce", run.produce_attempts, kinds={FaultKind.DROP_ACK}
-        ):
+        if outcome == "nacked" or run.due("produce", run.produce_attempts, FaultKind.DROP_ACK):
             self._no_ack(batch, attempt)
             return
-        delays = run.due("produce", run.produce_attempts, kinds={FaultKind.DELAY_ACK})
+        delays = run.due("produce", run.produce_attempts, FaultKind.DELAY_ACK)
         travel = T_CONFIRM_TRAVEL + (delays[0].delay_ms * 1_000_000 if delays else 0)
         run.at(travel, self.confirm, batch)
         if delays and scn.at_least_once:
@@ -491,7 +496,10 @@ class _Producer:
 
     def _confirmed(self, batch: tuple) -> bool:
         confirmed = self.scn.run._confirmed
-        return all((m.flow_id, m.seq_no) in confirmed for m in batch)
+        for m in batch:
+            if (m.flow_id, m.seq_no) not in confirmed:
+                return False
+        return True
 
     def _no_ack(self, batch: tuple, attempt: int) -> None:
         run = self.scn.run

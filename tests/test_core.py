@@ -1,7 +1,9 @@
 """Core types and the correctness checker, including the exhaustive
 brute-force equivalence check for small journals."""
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -11,6 +13,7 @@ from duolog.core import (
     EmptyRoutingSegment,
     FlushPolicy,
     Journal,
+    JournalEntry,
     JournalEvent,
     Message,
     MismatchedFlows,
@@ -21,6 +24,7 @@ from duolog.core import (
     check_correctness,
     validate_message,
 )
+from duolog.harness import Phase, PhaseEvent
 
 P, C, D = JournalEvent.PRODUCED, JournalEvent.CONFIRMED, JournalEvent.DELIVERED
 
@@ -69,6 +73,53 @@ def test_validate_errors_name_their_field():
         assert e.field_name == "routing_key"
 
 
+def test_message_defaults_and_field_order():
+    m = Message("f", 3)
+    assert [f.name for f in dataclasses.fields(Message)] == [
+        "flow_id", "seq_no", "payload", "key", "routing_key", "headers", "produced_at", "ttl_ms",
+    ]
+    assert (m.payload, m.key, m.routing_key, m.headers, m.produced_at, m.ttl_ms) == (
+        b"", None, None, {}, 0, None,
+    )
+    positional = Message("f", 3, b"p", b"k", "a.b", {"h": 1}, 9, 100)
+    keywords = Message(
+        flow_id="f", seq_no=3, payload=b"p", key=b"k", routing_key="a.b",
+        headers={"h": 1}, produced_at=9, ttl_ms=100,
+    )
+    assert positional == keywords
+    assert positional != dataclasses.replace(keywords, ttl_ms=101)
+
+
+def test_message_omitted_headers_are_a_fresh_dict_and_explicit_none_stays():
+    a, b = Message("f", 0), Message("f", 1)
+    assert a.headers == {} and a.headers is not b.headers
+    a.headers["x"] = 1
+    assert b.headers == {} and Message("f", 2).headers == {}
+    assert Message("f", 0, headers=None).headers is None
+    shared = {"h": "v"}
+    assert Message("f", 0, headers=shared).headers is shared
+
+
+def test_message_repr_replace_and_frozen():
+    m = Message("f", 1, payload=b"x", routing_key="k", produced_at=5)
+    assert repr(m) == (
+        "Message(flow_id='f', seq_no=1, payload=b'x', key=None, routing_key='k', "
+        "headers={}, produced_at=5, ttl_ms=None)"
+    )
+    r = dataclasses.replace(m, seq_no=2, key=b"k")
+    assert (r.flow_id, r.seq_no, r.payload, r.key, r.routing_key, r.produced_at) == (
+        "f", 2, b"x", b"k", "k", 5,
+    )
+    assert r.headers == m.headers
+    assert dataclasses.replace(m) == m
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.seq_no = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del m.payload
+    with pytest.raises(TypeError):
+        Message("f")
+
+
 def test_flush_policy_needs_one_bound():
     with pytest.raises(ValueError):
         FlushPolicy(flush_interval_messages=None, flush_interval_ms=None)
@@ -91,6 +142,58 @@ def test_journal_rejects_time_regression_per_flow():
     with pytest.raises(ValueError):
         j.append("f", 1, P, 5)
     j.append("g", 0, P, 0)  # other flows are independent
+
+
+
+def reference_jsonl(journal):
+    """The one-`json.dumps`-per-line serialization `to_jsonl` must match."""
+    lines = [
+        json.dumps(
+            {"flow": e.flow, "seq": e.seq, "event": e.event.value, "at_ns": e.at_ns},
+            separators=(",", ":"),
+        )
+        for e in journal.entries
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+AWKWARD_FLOWS = ["f", 'q"uote', "back\\slash", "new\nline", "ctl\x01\x1f", "caf\u00e9-\u6d41-\U0001f600", "\u2028"]
+
+
+def test_to_jsonl_equals_the_json_dumps_reference():
+    assert Journal().to_jsonl() == "" == reference_jsonl(Journal())
+    j = Journal()
+    for i, (flow, event) in enumerate(itertools.product(AWKWARD_FLOWS, JournalEvent)):
+        j.append(flow, i, event, 0 if i < len(JournalEvent) else i * 10**15)
+    j.append("big", 2**63 - 1, JournalEvent.ACKED, 2**64 + 7)
+    text = j.to_jsonl()
+    assert text == reference_jsonl(j)
+    assert Journal.from_jsonl(text) == j
+    assert [json.loads(line)["flow"] for line in text.splitlines()[:4]] == ["f"] * 4
+
+
+def test_journal_entries_are_named_tuples_and_a_snapshot():
+    j = Journal()
+    j.append("f", 0, P, 10)
+    snap = j.entries
+    e = snap[0]
+    assert isinstance(snap, tuple)
+    assert (e.flow, e.seq, e.event, e.at_ns) == ("f", 0, P, 10)
+    assert e == JournalEntry(flow="f", seq=0, event=P, at_ns=10)
+    assert JournalEntry._fields == ("flow", "seq", "event", "at_ns")
+    j.append("f", 1, P, 11)
+    assert len(snap) == 1 and len(j.entries) == 2
+    with pytest.raises(ValueError):
+        j.append("f", 2, P, 9)
+    assert len(j) == 2  # a rejected append leaves no entry behind
+    assert Journal(j.entries) == j
+
+
+def test_phase_event_fields_by_name():
+    p = PhaseEvent(Phase.T4_DELIVERED, "f", 3, 1234)
+    assert (p.phase, p.flow, p.seq, p.at_ns) == (Phase.T4_DELIVERED, "f", 3, 1234)
+    assert PhaseEvent._fields == ("phase", "flow", "seq", "at_ns")
+    assert p == PhaseEvent(phase=Phase.T4_DELIVERED, flow="f", seq=3, at_ns=1234)
 
 
 # --------------------------------------------------------------------------

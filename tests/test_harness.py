@@ -241,6 +241,24 @@ def test_replay_digest_over_seeds_0_to_999_is_pinned(engine):
     assert h.hexdigest() == REPLAY_DIGESTS[engine]
 
 
+# sha256 over every phase record of random_scenario(engine, 0..999); the
+# journal digest above does not cover the phase timeline, so a change to
+# the phase dedup or its timestamps would otherwise go unnoticed
+PHASE_DIGESTS = {
+    "log": "b2f885c27c523501ee89e96eb7712de2b2ca7b963a5b955f274308660be64935",
+    "exch": "a44716e13d51b83dd0010831aaba08a61b15bf91118443195d16d0afa1d8a09e",
+}
+
+
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_phase_timeline_digest_over_seeds_0_to_999_is_pinned(engine):
+    h = hashlib.sha256()
+    for seed in range(1000):
+        for p in run_scenario(random_scenario(engine, seed)).phases:
+            h.update(f"{p.phase.value},{p.flow},{p.seq},{p.at_ns}\n".encode())
+    assert h.hexdigest() == PHASE_DIGESTS[engine]
+
+
 def test_scenario_serialization_round_trip():
     s = scenario("log", Delivery.AT_LEAST_ONCE,
                  [FaultEvent(FaultKind.DELAY_ACK, on="produce", index=2, delay_ms=6)])
