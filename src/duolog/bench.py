@@ -14,11 +14,12 @@ runs 60 s with a 30 s warmup.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -31,7 +32,7 @@ from .exchbroker import (
     ExchangeSpec,
     QueueSpec,
 )
-from .logbroker import BatchingConfig, LogAckMode, LogEngine, TopicConfig
+from .logbroker import LogAckMode, LogEngine, TopicConfig
 
 
 class BenchError(Exception):
@@ -53,6 +54,9 @@ SWEEP_PARAMS = (
     "replication",
     "ack_mode",
 )
+
+# messages per producer batch, for both engines
+PRODUCER_BATCH_MESSAGES = 10
 
 EXPORT_COLUMNS = (
     "engine", "sweep_param", "sweep_value", "pps", "bps",
@@ -83,9 +87,6 @@ class WorkloadSpec:
     ack_mode: str = "1"           # log engine: "0" | "1" | "quorum"
     duration_s: Optional[float] = None
     warmup_s: Optional[float] = None
-    batching: BatchingConfig = field(
-        default_factory=lambda: BatchingConfig(producer_batch_messages=10)
-    )
     messages_per_producer: Optional[int] = None  # used by deterministic mode
     seed: int = 1
 
@@ -199,7 +200,6 @@ class LogDriver:
 
 class _LogCtx:
     def __init__(self, spec: WorkloadSpec) -> None:
-        self.spec = spec
         at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
         flush = (
             FlushPolicy(flush_interval_messages=1, flush_interval_ms=None)
@@ -255,9 +255,7 @@ class _LogCtx:
     def poll(self, worker: int) -> list[tuple[int, int]]:
         out = []
         for topic, partition, pos in self._consumer_lanes[worker]:
-            msgs, _ = self.engine.fetch(
-                topic, partition, pos[0], self.spec.batching.consumer_fetch_bytes
-            )
+            msgs, _ = self.engine.fetch(topic, partition, pos[0])
             pos[0] += len(msgs)
             out.extend((m.produced_at, len(m.payload)) for m in msgs)
         return out
@@ -277,7 +275,6 @@ class ExchDriver:
 
 class _ExchCtx:
     def __init__(self, spec: WorkloadSpec) -> None:
-        self.spec = spec
         self.at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
         self.engine = ExchEngine(max(3, spec.replication_factor), latency_mode="real")
         mirrors = tuple(f"n{i}" for i in range(1, spec.replication_factor))
@@ -374,7 +371,7 @@ def _run_once(driver, spec: WorkloadSpec) -> RunStats:
     warmup_end = t0 + int(spec.warmup_s * 1e9)
     end = t0 + int(spec.duration_s * 1e9)
     payload = b"\x00" * spec.record_size_bytes
-    batch_size = spec.batching.producer_batch_messages
+    batch_size = PRODUCER_BATCH_MESSAGES
     produced_counts = [0] * spec.producers
     worker_samples: list[list[int]] = [[] for _ in range(spec.consumers)]
     worker_delivered = [0] * spec.consumers
@@ -574,27 +571,36 @@ def run_spill_comparison(
 # export
 # --------------------------------------------------------------------------
 
+def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` through a temp file and a rename, so a reader
+    never sees a partial file; the temp file is removed if either step
+    fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export(results: list[ThroughputSample], path, format: str = "CSV") -> None:
     """Write results with the stable column order; refuses empty inputs and
-    never leaves a partial file behind (temp + rename)."""
+    never leaves a partial file behind (`atomic_write`)."""
     if not results:
         raise ValueError("refusing to export empty results")
     fmt = format.upper()
     if fmt not in ("CSV", "JSONL"):
         raise ValueError(f"format must be CSV or JSONL, got {format!r}")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            if fmt == "CSV":
-                writer = csv.DictWriter(fh, fieldnames=EXPORT_COLUMNS)
-                writer.writeheader()
-                for sample in results:
-                    writer.writerow(sample.row())
-            else:
-                for sample in results:
-                    fh.write(json.dumps(sample.row()) + "\n")
-        tmp.replace(path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
+    buf = io.StringIO()
+    if fmt == "CSV":
+        writer = csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS)
+        writer.writeheader()
+        for sample in results:
+            writer.writerow(sample.row())
+    else:
+        for sample in results:
+            buf.write(json.dumps(sample.row()) + "\n")
+    atomic_write(path, buf.getvalue())

@@ -27,13 +27,6 @@ EXIT_ERROR = 2
 EXIT_NO_MATCH = 3
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -104,7 +97,7 @@ def cmd_bench(args) -> int:
             "sweep": {"param": sweep[0], "values": sweep[1]},
             "workload": spec.config_snapshot(),
         }
-        _atomic_write(out_path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
+        bench.atomic_write(out_path.with_suffix(".meta.json"), json.dumps(meta, indent=2))
     except (bench.BenchError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -132,7 +125,7 @@ def _bench_harness_mode(args, spec, sweep, out_path: Path) -> int:
         seed=args.seed,
     )
     result = harness.run_scenario(scenario)
-    _atomic_write(out_path, result.journals_blob())
+    bench.atomic_write(out_path, result.journals_blob())
     print(f"wrote {out_path} (deterministic journals, seed {args.seed})")
     return EXIT_PASS
 
@@ -182,7 +175,7 @@ def cmd_model(args) -> int:
         if args.model_cmd == "fit":
             samples = _read_fit_csv(Path(args.infile), args.form)
             result = model.fit(samples, args.form)
-            _atomic_write(Path(args.out), json.dumps(result.to_dict(), indent=2))
+            bench.atomic_write(Path(args.out), json.dumps(result.to_dict(), indent=2))
             print(
                 f"fitted {args.form} constants from {result.samples_used} samples, "
                 f"mean relative error {result.mean_relative_error:.4f}"

@@ -107,13 +107,9 @@ def validate_message(msg: Message) -> None:
         err = ValidationError("payload must be bytes")
         err.field_name = "payload"
         raise err
-    if msg.routing_key is not None:
-        if msg.routing_key == "" or any(
-            seg == "" for seg in msg.routing_key.split(".")
-        ):
-            raise EmptyRoutingSegment(
-                f"routing_key {msg.routing_key!r} contains an empty segment"
-            )
+    k = msg.routing_key
+    if k is not None and (not k or k[0] == "." or k[-1] == "." or ".." in k):
+        raise EmptyRoutingSegment(f"routing_key {k!r} contains an empty segment")
     if msg.ttl_ms is not None and msg.ttl_ms < 0:
         raise NegativeTtl(f"ttl_ms {msg.ttl_ms} is negative")
 
@@ -145,25 +141,18 @@ class FlushPolicy:
         return False
 
 
-FLUSH_EVERY_MESSAGE = FlushPolicy(flush_interval_messages=1, flush_interval_ms=None)
-
-
 @dataclass(frozen=True)
 class QoSConfig:
-    """Delivery mode, ordering scope and durability knobs for a scenario.
+    """Delivery mode, ordering scope and replication factor for a scenario.
 
-    `ack_policy` is engine specific: a `logbroker.LogAckMode` for the log
-    engine, an `exchbroker.ConfirmPolicy` for the exchange engine, or None
-    for engine defaults.  `GLOBAL_SINGLE_LANE` implies exactly one partition
-    (log engine) or one channel feeding one queue (exchange engine); that
-    cross-field constraint is validated against the topology by the harness.
+    `GLOBAL_SINGLE_LANE` implies exactly one partition (log engine) or one
+    channel feeding one queue (exchange engine); that cross-field constraint
+    is validated against the topology by the harness.
     """
 
     delivery: Delivery = Delivery.AT_LEAST_ONCE
     ordering: Ordering = Ordering.NONE
     replication_factor: int = 1
-    ack_policy: object = None
-    flush: FlushPolicy = FlushPolicy()
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:

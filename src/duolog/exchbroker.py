@@ -146,15 +146,6 @@ class BindingSpec:
 
 
 @dataclass(frozen=True)
-class ConfirmPolicy:
-    """When a publish is confirmed: after the durable write for persistent
-    messages, and only once all mirrors accepted for mirrored queues."""
-
-    persistent: bool = False
-    mirrored: bool = False
-
-
-@dataclass(frozen=True)
 class Confirm:
     ack: bool
     publish_seq: int
@@ -626,9 +617,13 @@ class Channel:
 # the engine
 # --------------------------------------------------------------------------
 
-# nominal cost of one in-memory delivery through the full pull path,
-# the yardstick for the spill read penalty multiplier
-NOMINAL_READ_NS = 50_000
+# simulated device costs under latency_mode="real": a durable write, a
+# mirror's acceptance, and a read from the spill tier, which costs 10x the
+# nominal in-memory delivery through the full pull path (~50us in-process
+# at desk scale)
+FSYNC_LATENCY_NS = 40_000
+MIRROR_SYNC_NS = 20_000
+SPILL_READ_NS = 10 * 50_000
 
 
 class ExchEngine(BrokerContract):
@@ -648,9 +643,6 @@ class ExchEngine(BrokerContract):
         *,
         clock: Clock = time.monotonic_ns,
         latency_mode: str = "real",
-        fsync_latency_ns: int = 40_000,
-        mirror_sync_ns: int = 20_000,
-        spill_read_penalty: float = 10.0,
         spill_read_ns: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
@@ -665,8 +657,9 @@ class ExchEngine(BrokerContract):
         self.bodies = _BodyStore()
         self.clock = clock
         self.latency_mode = latency_mode
-        self.fsync_latency_ns = fsync_latency_ns if latency_mode == "real" else 0
-        self.mirror_sync_ns = mirror_sync_ns if latency_mode == "real" else 0
+        real = latency_mode == "real"
+        self.fsync_latency_ns = FSYNC_LATENCY_NS if real else 0
+        self.mirror_sync_ns = MIRROR_SYNC_NS if real else 0
         self.memory_budget_bytes = memory_budget_bytes
         self._next_tag = 1
         self._next_queue_node = 0
@@ -674,14 +667,9 @@ class ExchEngine(BrokerContract):
         self._flow_cond = threading.Condition(self._lock)
         self._flow_blocked = False
         self.fault_hook: Optional[Callable[[str, str], None]] = None
-        if spill_read_ns is not None:
-            self.spill_read_ns = spill_read_ns
-        elif latency_mode == "real":
-            # the slow tier costs a multiple of the nominal in-memory
-            # delivery path (~50us in-process at desk scale)
-            self.spill_read_ns = int(spill_read_penalty * NOMINAL_READ_NS)
-        else:
-            self.spill_read_ns = 0
+        if spill_read_ns is None:
+            spill_read_ns = SPILL_READ_NS if real else 0
+        self.spill_read_ns = spill_read_ns
 
     # -- contract ------------------------------------------------------------
 

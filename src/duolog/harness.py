@@ -265,14 +265,13 @@ class _VirtualClock:
 
 
 class _Run:
-    def __init__(self, scenario: Scenario, clock_skew: Optional[Callable[[], int]] = None):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.s = scenario
         self.rng = random.Random(scenario.seed)
         # what rng.randrange(n) calls for an int n > 0, without its checks
         self._randbelow = self.rng._randbelow
         self.clock = _VirtualClock()
-        self._skew = clock_skew
         self.heap: list = []
         self._seq = itertools.count()
         self.produced = Journal()
@@ -292,8 +291,6 @@ class _Run:
 
     def at(self, delay_ns: int, fn, *args) -> None:
         t = self.clock.t + delay_ns + self._randbelow(JITTER_NS)
-        if self._skew is not None:
-            t += abs(self._skew()) % 1000
         heapq.heappush(self.heap, (t, next(self._seq), fn, args))
 
     def run_loop(self) -> None:
@@ -817,13 +814,10 @@ class _ExchConsumer(_Consumer):
 # entry points
 # --------------------------------------------------------------------------
 
-def run_scenario(
-    s: Scenario, _clock_skew: Optional[Callable[[], int]] = None
-) -> ScenarioResult:
+def run_scenario(s: Scenario) -> ScenarioResult:
     """Run a scenario to completion (including the drain window) and check
-    the journals.  Deterministic under a fixed seed unless `_clock_skew`
-    (a self-test hook) injects outside state."""
-    run = _Run(s, clock_skew=_clock_skew)
+    the journals.  Deterministic under a fixed seed."""
+    run = _Run(s)
     scenario = _LogScenario(run) if s.engine == "log" else _ExchScenario(run)
     scenario.start()
     run.run_loop()
@@ -833,12 +827,10 @@ def run_scenario(
     )
 
 
-def replay(
-    s: Scenario, _clock_skew: Optional[Callable[[], int]] = None
-) -> ScenarioResult:
+def replay(s: Scenario) -> ScenarioResult:
     """Run the scenario twice and demand byte-identical journals."""
-    first = run_scenario(s, _clock_skew)
-    second = run_scenario(s, _clock_skew)
+    first = run_scenario(s)
+    second = run_scenario(s)
     if first.journals_blob() != second.journals_blob():
         raise NondeterminismDetected(
             f"replay of seed {s.seed} diverged; the run depends on outside state"

@@ -140,20 +140,6 @@ class TopicConfig:
             raise ValueError("segment_bytes must be >= 1")
 
 
-@dataclass(frozen=True)
-class BatchingConfig:
-    """Pipeline batching thresholds; the stock defaults are deliberately
-    large, desk-scale workloads override them downward."""
-
-    producer_batch_messages: int = 200
-    consumer_fetch_bytes: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        for name in ("producer_batch_messages", "consumer_fetch_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-
 class AckPhase(Enum):
     ENQUEUED = "enqueued"
     LEADER = "leader"
@@ -362,9 +348,6 @@ class Replica:
                 tail.size_bytes += len(rec)
         self.next_offset = offsets[-1] + 1
 
-    def log_start_offset(self) -> int:
-        return self.start_offset
-
     def total_messages(self) -> int:
         return sum(seg.count for seg in self.segments)
 
@@ -431,28 +414,15 @@ class ConsumerGroup:
 # partitioner
 # --------------------------------------------------------------------------
 
-Partitioner = Callable[[Optional[bytes], int], int]
-
-
-def partition_for(
-    key: Optional[bytes],
-    n_partitions: int,
-    override: Optional[Partitioner] = None,
-    rotation: int = 0,
-) -> int:
+def partition_for(key: Optional[bytes], n_partitions: int, rotation: int = 0) -> int:
     """Pick a partition for a message key.
 
     Keyed messages hash deterministically (seed-stable across runs and
     processes); keyless messages rotate round-robin using the caller-held
-    `rotation` counter.  An `override` partitioner wins when given.
+    `rotation` counter.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
-    if override is not None:
-        idx = override(key, n_partitions)
-        if not 0 <= idx < n_partitions:
-            raise ValueError(f"override partitioner returned {idx} for {n_partitions} partitions")
-        return idx
     if key is None:
         return rotation % n_partitions
     return stable_hash64(bytes(key)) % n_partitions
@@ -576,20 +546,15 @@ class LogEngine(BrokerContract):
             self._rotors[cfg.name] = 0
             return topic
 
-    def partition_for(
-        self,
-        topic: str,
-        key: Optional[bytes],
-        override: Optional[Partitioner] = None,
-    ) -> int:
+    def partition_for(self, topic: str, key: Optional[bytes]) -> int:
         t = self._topic(topic)
         n = t.config.partitions
-        if key is None and override is None:
+        if key is None:
             with self._lock:
                 rotation = self._rotors[topic]
                 self._rotors[topic] = rotation + 1
             return partition_for(None, n, rotation=rotation)
-        return partition_for(key, n, override=override)
+        return partition_for(key, n)
 
     # -- append / fetch ------------------------------------------------------
 
@@ -613,7 +578,7 @@ class LogEngine(BrokerContract):
             offsets = list(range(base, base + len(msgs)))
             records = [encode_record(off, msg) for off, msg in zip(offsets, msgs)]
             leader.append_encoded(offsets, records, t.config.segment_bytes)
-            self._maybe_flush(leader, t.config, len(records))
+            self._maybe_flush(leader, t.config)
             self._fire_fault("post_leader", topic, partition)
             acceptors = 1
             for rep in part.replicas:
@@ -623,7 +588,7 @@ class LogEngine(BrokerContract):
                     self._catch_up(rep, leader, t.config)
                 if rep.next_offset == base:
                     rep.append_encoded(offsets, records, t.config.segment_bytes)
-                    self._maybe_flush(rep, t.config, len(records))
+                    self._maybe_flush(rep, t.config)
                 if rep.next_offset >= base + len(records):
                     acceptors += 1
             if acks is LogAckMode.ACKS_QUORUM and acceptors < quorum_size(rf):
@@ -656,7 +621,7 @@ class LogEngine(BrokerContract):
         with part.lock:
             leader = self._leader(part)
             hw = self._high_watermark(part, t.config.replication_factor)
-            start = leader.log_start_offset()
+            start = leader.start_offset
             if offset < start:
                 raise OffsetOutOfRange(f"offset {offset} < oldest retained {start}")
             if offset > leader.next_offset:
@@ -869,7 +834,7 @@ class LogEngine(BrokerContract):
             offsets, records = zip(*missing)
             rep.append_encoded(offsets, records, cfg.segment_bytes)
 
-    def _maybe_flush(self, rep: Replica, cfg: TopicConfig, _just_appended: int) -> None:
+    def _maybe_flush(self, rep: Replica, cfg: TopicConfig) -> None:
         unflushed = rep.next_offset - rep.flushed_up_to
         elapsed = self.clock() - rep.last_flush_ns
         if cfg.flush.due(unflushed, elapsed):

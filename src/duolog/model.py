@@ -10,9 +10,10 @@ the denominator is packets per second:
 `fit` recovers constants from (inputs, measured pps) samples by minimizing
 the mean relative error |pred - meas| / meas.  Method (deterministic): the
 forms are linear in the constants after inverting to seconds-per-packet, so
-an ordinary least-squares solve on the inverted samples seeds the constants,
-and a log-space coordinate descent (multiplicative steps, shrinking ladder)
-then minimizes the relative-error objective directly.
+an ordinary least-squares solve on the inverted samples (a QR factorization
+in plain Python) seeds the constants, and a log-space coordinate descent
+(multiplicative steps, shrinking ladder) then minimizes the relative-error
+objective directly.
 
 Bundled reference presets: evaluating KAFKA_ACKS0 at (producers=5,
 partitions=10, topics=5, effective_size=4000) gives ~72.4 Kpps, while
@@ -23,10 +24,10 @@ presets are kept exactly as fitted, the gap is not reconciled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 
 class FitError(Exception):
@@ -138,21 +139,56 @@ Sample = tuple[Sequence[float], float]
 _FORMS = {"rabbit": 2, "kafka": 3}
 
 
-def _design(form: str, inputs_list: list) -> tuple[np.ndarray, np.ndarray]:
-    """Regressor matrix and per-sample numerator for the inverted form."""
+def _design(form: str, inputs_list: list) -> tuple[list[tuple[float, ...]], list[float]]:
+    """Regressor rows and per-sample numerator for the inverted form."""
     if form == "rabbit":
-        X = np.array([[1.0, s] for (_, s) in inputs_list])
-        numer = np.array([float(p) for (p, _) in inputs_list])
+        rows = [(1.0, float(s)) for (_, s) in inputs_list]
+        numer = [float(p) for (p, _) in inputs_list]
     else:
-        X = np.array([[1.0, t, math.sqrt(es)] for (_, _, t, es) in inputs_list])
-        numer = np.array([float(p) * float(pt) for (p, pt, _, _) in inputs_list])
-    return X, numer
+        rows = [(1.0, float(t), math.sqrt(es)) for (_, _, t, es) in inputs_list]
+        numer = [float(p) * float(pt) for (p, pt, _, _) in inputs_list]
+    return rows, numer
 
 
-def _mean_rel_error(consts: np.ndarray, X: np.ndarray, numer: np.ndarray, meas: np.ndarray) -> float:
-    denom = X @ consts
-    pred = numer / denom
-    return float(np.mean(np.abs(pred - meas) / meas))
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def _least_squares(rows: list[tuple[float, ...]], y: list[float]) -> list[float]:
+    """Solve min |rows @ c - y| by a QR factorization (modified Gram-Schmidt
+    on unit-scaled columns) and back substitution.  Raises `Underdetermined`
+    when a column is, to rounding, a combination of the ones before it."""
+    k = len(rows[0])
+    tol = max(len(rows), k) * sys.float_info.epsilon
+    cols = [[row[j] for row in rows] for j in range(k)]
+    scale = [math.hypot(*col) for col in cols]
+    if 0.0 in scale:
+        raise Underdetermined("sample inputs do not span the model's regressors")
+    q = [[v / s for v in col] for col, s in zip(cols, scale)]
+    r = [[0.0] * k for _ in range(k)]
+    z = []
+    y = list(y)
+    for j in range(k):
+        for i in range(j):
+            r[i][j] = _dot(q[i], q[j])
+            q[j] = [a - r[i][j] * b for a, b in zip(q[j], q[i])]
+        r[j][j] = math.hypot(*q[j])
+        if r[j][j] <= tol:
+            raise Underdetermined("sample inputs do not span the model's regressors")
+        q[j] = [a / r[j][j] for a in q[j]]
+        z.append(_dot(q[j], y))
+        y = [a - z[j] * b for a, b in zip(y, q[j])]
+    c = [0.0] * k
+    for j in reversed(range(k)):
+        c[j] = (z[j] - math.fsum(r[j][i] * c[i] for i in range(j + 1, k))) / r[j][j]
+    return [cj / s for cj, s in zip(c, scale)]
+
+
+def _mean_rel_error(consts: list[float], rows: list, numer: list[float], meas: list[float]) -> float:
+    return math.fsum(
+        abs(n / sum(map(mul, row, consts)) - m) / m
+        for row, n, m in zip(rows, numer, meas)
+    ) / len(meas)
 
 
 def fit(samples: Iterable[Sample], form: str) -> FitResult:
@@ -163,8 +199,8 @@ def fit(samples: Iterable[Sample], form: str) -> FitResult:
     k = _FORMS[form]
     samples = list(samples)
     inputs_list = [tuple(inp) for inp, _ in samples]
-    meas = np.array([float(pps) for _, pps in samples])
-    if np.any(meas <= 0):
+    meas = [float(pps) for _, pps in samples]
+    if any(m <= 0 for m in meas):
         raise NonPositiveMeasurement("measured pps must be positive")
     if len(set(inputs_list)) < k:
         raise Underdetermined(f"{form} form has {k} constants, need >= {k} distinct inputs")
@@ -172,39 +208,35 @@ def fit(samples: Iterable[Sample], form: str) -> FitResult:
         if len(inp) != (2 if form == "rabbit" else 4):
             raise ValueError(f"bad inputs for {form} form: {inp!r}")
 
-    X, numer = _design(form, inputs_list)
-    if np.linalg.matrix_rank(X) < k:
-        raise Underdetermined("sample inputs do not span the model's regressors")
-
-    # linear least squares on the inverted form: X @ c = producers/pps
-    y = numer / meas
-    init, *_ = np.linalg.lstsq(X, y, rcond=None)
-    consts = np.maximum(init, 1e-15)
+    # linear least squares on the inverted form: rows @ c = producers/pps
+    rows, numer = _design(form, inputs_list)
+    init = _least_squares(rows, [n / m for n, m in zip(numer, meas)])
+    consts = [max(c, 1e-15) for c in init]
 
     # log-space coordinate descent on the true relative-error objective
-    best = _mean_rel_error(consts, X, numer, meas)
+    best = _mean_rel_error(consts, rows, numer, meas)
     step = 0.5
     while step > 1e-9:
         improved = False
         for i in range(k):
             for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                trial = consts.copy()
+                trial = list(consts)
                 trial[i] *= factor
-                err = _mean_rel_error(trial, X, numer, meas)
+                err = _mean_rel_error(trial, rows, numer, meas)
                 if err < best - 1e-15:
                     consts, best = trial, err
                     improved = True
         if not improved:
             step /= 2.0
-    consts = np.maximum(consts, 1e-15)
+    consts = [max(c, 1e-15) for c in consts]
 
     if form == "rabbit":
         constants: Union[RabbitThroughputModel, KafkaThroughputModel] = RabbitThroughputModel(
-            u_routing=float(consts[0]), u_byte=float(consts[1])
+            u_routing=consts[0], u_byte=consts[1]
         )
     else:
         constants = KafkaThroughputModel(
-            u_routing=float(consts[0]), u_topics=float(consts[1]), u_byte=float(consts[2])
+            u_routing=consts[0], u_topics=consts[1], u_byte=consts[2]
         )
     return FitResult(constants=constants, mean_relative_error=best, samples_used=len(samples))
 

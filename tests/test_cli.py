@@ -169,6 +169,20 @@ def test_model_fit_underdetermined_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_model_fit_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path):
+    data = tmp_path / "measurements.csv"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["producers", "size_bytes", "pps"])
+        for s in (100, 1000, 10000):
+            w.writerow([1, s, 1 / (3.0e-5 + s * 8.0e-9)])
+    out = tmp_path / "out"
+    out.mkdir()  # the rename onto a directory fails
+    rc = main(["model", "fit", "--form", "rabbit", "--in", str(data), "--out", str(out)])
+    assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["measurements.csv", "out"]
+
+
 # --------------------------------------------------------------------------
 # advise
 # --------------------------------------------------------------------------

@@ -55,10 +55,9 @@ def test_validate_wellformed_routing_key():
 
 
 def test_validate_empty_routing_segment():
-    with pytest.raises(EmptyRoutingSegment):
-        validate_message(Message("f", 0, routing_key="a..c"))
-    with pytest.raises(EmptyRoutingSegment):
-        validate_message(Message("f", 0, routing_key=""))
+    for key in ("a..c", "", ".a", "a.", "."):
+        with pytest.raises(EmptyRoutingSegment):
+            validate_message(Message("f", 0, routing_key=key))
 
 
 def test_validate_negative_ttl():

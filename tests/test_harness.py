@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from duolog import harness
 from duolog.bench import WorkloadSpec
 from duolog.core import CorrectnessReport, Delivery, Ordering, QoSConfig
 from duolog.harness import (
@@ -219,10 +220,16 @@ def test_different_seed_may_differ():
     assert a.journals_blob() != b.journals_blob()
 
 
-def test_wall_clock_dependence_detected():
+def test_wall_clock_dependence_detected(monkeypatch):
+    at = harness._Run.at
+
+    def skewed_at(self, delay_ns, fn, *args):
+        at(self, delay_ns + time.perf_counter_ns() % 1000, fn, *args)
+
+    monkeypatch.setattr(harness._Run, "at", skewed_at)
     s = scenario("exch", Delivery.AT_LEAST_ONCE)
     with pytest.raises(NondeterminismDetected):
-        replay(s, _clock_skew=time.perf_counter_ns)
+        replay(s)
 
 
 # sha256 over the concatenated journals of random_scenario(engine, 0..999);

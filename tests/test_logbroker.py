@@ -9,7 +9,6 @@ import pytest
 from duolog.core import BrokerDown, FlushPolicy, Message
 from duolog.logbroker import (
     AckPhase,
-    BatchingConfig,
     DuplicateTopic,
     KeylessMessage,
     LogAckMode,
@@ -144,14 +143,6 @@ def test_create_topic_zero_partitions_rejected():
         TopicConfig("t", partitions=0)
 
 
-def test_batching_config_defaults_and_validation():
-    b = BatchingConfig()
-    assert b.producer_batch_messages == 200
-    assert b.consumer_fetch_bytes == 1 << 20
-    with pytest.raises(ValueError):
-        BatchingConfig(producer_batch_messages=0)
-
-
 # --------------------------------------------------------------------------
 # partitioner
 # --------------------------------------------------------------------------
@@ -176,10 +167,6 @@ def test_partitioner_golden_values():
     assert partition_for(b"a", 8) == 4
     assert partition_for(b"user42", 8) == 0
     assert partition_for(b"flow-3", 5) == 4
-
-
-def test_partitioner_override_wins():
-    assert partition_for(b"anything", 8, override=lambda k, n: 5) == 5
 
 
 def test_engine_rotor_round_robins_keyless():
