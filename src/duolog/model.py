@@ -159,6 +159,8 @@ def _least_squares(rows: list[tuple[float, ...]], y: list[float]) -> list[float]
     on unit-scaled columns) and back substitution.  Raises `Underdetermined`
     when a column is, to rounding, a combination of the ones before it."""
     k = len(rows[0])
+    # a remainder within max(m, k) ulps of a unit column is rounding, not an
+    # independent direction (the factor numpy's matrix_rank uses)
     tol = max(len(rows), k) * sys.float_info.epsilon
     cols = [[row[j] for row in rows] for j in range(k)]
     scale = [math.hypot(*col) for col in cols]
@@ -167,7 +169,6 @@ def _least_squares(rows: list[tuple[float, ...]], y: list[float]) -> list[float]
     q = [[v / s for v in col] for col, s in zip(cols, scale)]
     r = [[0.0] * k for _ in range(k)]
     z = []
-    y = list(y)
     for j in range(k):
         for i in range(j):
             r[i][j] = _dot(q[i], q[j])
