@@ -32,7 +32,7 @@ from .exchbroker import (
     ExchangeSpec,
     QueueSpec,
 )
-from .logbroker import LogAckMode, LogEngine, TopicConfig
+from .logbroker import ACK_MODES, LogAckMode, LogEngine, TopicConfig
 
 
 class BenchError(Exception):
@@ -106,6 +106,8 @@ class WorkloadSpec:
             raise ValueError("record_size_bytes must be >= 1")
         if self.producers < 1 or self.consumers < 1:
             raise ValueError("need at least one producer and one consumer")
+        if self.ack_mode not in ACK_MODES:
+            raise ValueError(f"ack_mode must be one of {sorted(ACK_MODES)}, got {self.ack_mode!r}")
         if self.duration_s is not None and self.warmup_s is not None:
             if self.duration_s <= self.warmup_s:
                 raise ValueError("duration must exceed warmup")
@@ -227,11 +229,7 @@ class _LogCtx:
             # replication is only meaningful when acks wait on the replicas
             self.acks = LogAckMode.ACKS_QUORUM
         else:
-            self.acks = {
-                "0": LogAckMode.ACKS_0,
-                "1": LogAckMode.ACKS_1,
-                "quorum": LogAckMode.ACKS_QUORUM,
-            }.get(spec.ack_mode, LogAckMode.ACKS_1)
+            self.acks = ACK_MODES[spec.ack_mode]
         lanes = [(t, p) for t in self.topics for p in range(spec.partitions)]
         self._producer_lane = [
             [lanes[i % len(lanes)] for i in range(w, w + len(lanes))]
@@ -470,9 +468,10 @@ def run_throughput(engine, spec: WorkloadSpec, sweep: tuple[str, list]) -> list[
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
     driver = _resolve_driver(engine)
+    # every point is validated before any is measured
+    points = [_apply_sweep(spec, param, value).resolved() for value in values]
     out = []
-    for value in values:
-        point = _apply_sweep(spec, param, value).resolved()
+    for value, point in zip(values, points):
         stats = _run_once(driver, point)
         try:
             latency = summarize_latencies(stats.samples_ns)
@@ -509,17 +508,18 @@ class SpillComparison:
         return self.capped_p50_ms / self.uncapped_p50_ms
 
 
-def run_spill_comparison(
-    n_messages: int = 600,
-    backlog: int = 150,
-    payload_bytes: int = 256,
-    spill_penalty: float = 10.0,
-) -> SpillComparison:
+# the spill comparison's payload size, and what a spill read costs there
+# as a multiple of the measured in-memory delivery
+SPILL_PAYLOAD_BYTES = 256
+SPILL_PENALTY = 10.0
+
+
+def run_spill_comparison(n_messages: int = 600, backlog: int = 150) -> SpillComparison:
     """Steady-state latency with a standing backlog, without and with a
     memory cap that keeps the backlog's head in the spill tier.
 
     The uncapped run measures the engine's actual in-memory per-delivery
-    cost; the capped run then pays `spill_penalty` times that cost on every
+    cost; the capped run then pays `SPILL_PENALTY` times that cost on every
     spill read, which inflates each delivery's queue wait by the penalty.
     """
 
@@ -532,13 +532,13 @@ def run_spill_comparison(
         engine.declare_queue(
             QueueSpec(
                 "q",
-                memory_cap_bytes=(backlog * payload_bytes) // 8 if capped else None,
+                memory_cap_bytes=(backlog * SPILL_PAYLOAD_BYTES) // 8 if capped else None,
                 spill_to_disk=capped,
             )
         )
         engine.bind(BindingSpec("x", "q", key="k"))
         chan = engine.channel()
-        payload = b"\x00" * payload_bytes
+        payload = b"\x00" * SPILL_PAYLOAD_BYTES
 
         def publish(i: int) -> None:
             msg = Message(
@@ -562,7 +562,7 @@ def run_spill_comparison(
         return summarize_latencies(latencies).p50_ms, from_spill / n_messages, per_op
 
     uncapped_p50, _, per_op = one(None)
-    penalty_ns = int(spill_penalty * per_op)
+    penalty_ns = int(SPILL_PENALTY * per_op)
     capped_p50, fraction, _ = one(penalty_ns)
     return SpillComparison(uncapped_p50, capped_p50, fraction, penalty_ns)
 

@@ -402,26 +402,37 @@ def spin_ns(ns: int) -> None:
 
 
 class BrokerContract:
-    """Lifecycle surface shared by both engines.
+    """The node set both engines run over, and their lifecycle surface.
 
-    Engines are in-process objects over a set of simulated nodes; crash and
-    restart model volatile-state loss and recovery.  Payload accounting
-    backs the multicast storage checks.
+    Engines are in-process objects over a set of simulated nodes, given as a
+    count (named n0, n1, ...) or a list of names; crash and restart model
+    volatile-state loss and recovery.  Each engine names the error it raises
+    for an unknown node in `_unknown_node`, and calls `fault_hook`, when one
+    is set, with its own injection-point arguments.
     """
 
-    name: str = "broker"
+    _unknown_node: Callable[[str], Exception]
+
+    def __init__(self, nodes: int | Iterable[str], clock: Clock) -> None:
+        node_ids = [f"n{i}" for i in range(nodes)] if isinstance(nodes, int) else list(nodes)
+        if not node_ids:
+            raise ValueError("need at least one node")
+        self.nodes: dict[str, SimNode] = {nid: SimNode(nid) for nid in node_ids}
+        self.clock = clock
+        self.fault_hook: Optional[Callable[..., None]] = None
 
     def node_ids(self) -> list[str]:
-        raise NotImplementedError
+        return list(self.nodes)
 
-    def crash_node(self, node_id: str) -> None:
-        raise NotImplementedError
+    def _node(self, node_id: str) -> SimNode:
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise self._unknown_node(node_id)
+        return node
 
-    def restart_node(self, node_id: str) -> None:
-        raise NotImplementedError
-
-    def payload_bytes(self) -> int:
-        raise NotImplementedError
+    def _fire_fault(self, *where) -> None:
+        if self.fault_hook is not None:
+            self.fault_hook(*where)
 
 
 Clock = Callable[[], int]

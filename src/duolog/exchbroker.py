@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
-from .core import BrokerContract, BrokerDown, Clock, Message, SimNode, spin_ns, validate_message
+from .core import BrokerContract, BrokerDown, Clock, Message, spin_ns, validate_message
 from .hashing import stable_hash64
 
 
@@ -635,8 +635,6 @@ class ExchEngine(BrokerContract):
     `latency_mode="none"` and accounts costs on its own virtual clock.
     """
 
-    name = "exch"
-
     def __init__(
         self,
         nodes: int | Iterable[str] = 3,
@@ -646,16 +644,9 @@ class ExchEngine(BrokerContract):
         spill_read_ns: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
-        if isinstance(nodes, int):
-            node_ids = [f"n{i}" for i in range(nodes)]
-        else:
-            node_ids = list(nodes)
-        if not node_ids:
-            raise ValueError("need at least one node")
-        self.nodes: dict[str, SimNode] = {nid: SimNode(nid) for nid in node_ids}
+        super().__init__(nodes, clock)
         self.vhosts: dict[str, _VHost] = {}
         self.bodies = _BodyStore()
-        self.clock = clock
         self.latency_mode = latency_mode
         real = latency_mode == "real"
         self.fsync_latency_ns = FSYNC_LATENCY_NS if real else 0
@@ -666,15 +657,11 @@ class ExchEngine(BrokerContract):
         self._lock = threading.RLock()
         self._flow_cond = threading.Condition(self._lock)
         self._flow_blocked = False
-        self.fault_hook: Optional[Callable[[str, str], None]] = None
         if spill_read_ns is None:
             spill_read_ns = SPILL_READ_NS if real else 0
         self.spill_read_ns = spill_read_ns
 
     # -- contract ------------------------------------------------------------
-
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
 
     def crash_node(self, node_id: str) -> None:
         node = self._node(node_id)
@@ -695,12 +682,9 @@ class ExchEngine(BrokerContract):
                             cons.unacked = 0
                             cons.inbox = []
                         for e in requeued:
-                            e.delivery_count += 1
-                            if not q.insert(e):
-                                self.bodies.release(e.body_id)
+                            self._requeue(q, e)
                         if promoted is not None:
-                            for e in q.remove(lambda e: promoted not in e.mirrored_on):
-                                self.bodies.release(e.body_id)
+                            self._drop(q.remove(lambda e: promoted not in e.mirrored_on))
                             q.home_node = promoted
                         else:
                             q.available = False
@@ -716,8 +700,7 @@ class ExchEngine(BrokerContract):
                         if q.home_node != node_id or q.available:
                             continue
                         durable = q.spec.durable
-                        for e in q.remove(lambda e: not (durable and e.fsynced)):
-                            self.bodies.release(e.body_id)
+                        self._drop(q.remove(lambda e: not (durable and e.fsynced)))
                         q.available = True
             self._flow_update()
 
@@ -778,41 +761,11 @@ class ExchEngine(BrokerContract):
         (the JSON file schema)."""
         vhost = topology.get("vhost", "/")
         for ex in topology.get("exchanges", ()):
-            self.declare_exchange(
-                ExchangeSpec(
-                    name=ex["name"],
-                    kind=ExchangeKind(ex["kind"]),
-                    vhost=ex.get("vhost", vhost),
-                    alternate=ex.get("alternate"),
-                )
-            )
+            self.declare_exchange(_exchange_spec(ex, vhost))
         for q in topology.get("queues", ()):
-            self.declare_queue(
-                QueueSpec(
-                    name=q["name"],
-                    vhost=q.get("vhost", vhost),
-                    max_length=q.get("max_length"),
-                    default_ttl=q.get("default_ttl"),
-                    memory_cap_bytes=q.get("memory_cap_bytes"),
-                    spill_to_disk=q.get("spill_to_disk", False),
-                    mirrors=tuple(q.get("mirrors", ())),
-                    durable=q.get("durable", False),
-                    overflow=OverflowPolicy(q.get("overflow", "drop_oldest")),
-                )
-            )
+            self.declare_queue(_queue_spec(q, vhost))
         for b in topology.get("bindings", ()):
-            self.bind(
-                BindingSpec(
-                    exchange=b["exchange"],
-                    queue=b["queue"],
-                    vhost=b.get("vhost", vhost),
-                    key=b.get("key"),
-                    pattern=b.get("pattern"),
-                    header_match=b.get("header_match"),
-                    match_mode=MatchMode(b.get("match_mode", "all")),
-                    weight=b.get("weight", 1),
-                )
-            )
+            self.bind(_binding_spec(b, vhost))
 
     # -- routing ------------------------------------------------------------
 
@@ -921,25 +874,25 @@ class ExchEngine(BrokerContract):
                             continue
                         self.bodies.release(q.pop_head().body_id)
                     entry = _Entry(msg, body_id, len(msg.payload), persistent)
-                    if not q.insert(entry):
-                        accepted += 1  # duplicate retransmit absorbed in place
-                        continue
-                    self.bodies.retain(body_id)
-                    if persistent and q.spec.durable:
-                        self._fire_fault("before_fsync", qname)
-                        entry.fsynced = True
-                        if self.fsync_latency_ns:
-                            spin_ns(self.fsync_latency_ns)
-                    if q.spec.mirrors:
-                        entry.mirrored_on = set()
-                        for m in q.spec.mirrors:
-                            if self.nodes[m].alive:
-                                entry.mirrored_on.add(m)
-                                if self.mirror_sync_ns:
-                                    spin_ns(self.mirror_sync_ns)
-                        if set(q.spec.mirrors) - entry.mirrored_on:
-                            raise BrokerDown(f"mirror of {qname} is down")
-                    self._enforce_spill(q)
+                    # a duplicate retransmit is absorbed in place and counts
+                    # as accepted
+                    if q.insert(entry):
+                        self.bodies.retain(body_id)
+                        if persistent and q.spec.durable:
+                            self._fire_fault("before_fsync", qname)
+                            entry.fsynced = True
+                            if self.fsync_latency_ns:
+                                spin_ns(self.fsync_latency_ns)
+                        if q.spec.mirrors:
+                            entry.mirrored_on = set()
+                            for m in q.spec.mirrors:
+                                if self.nodes[m].alive:
+                                    entry.mirrored_on.add(m)
+                                    if self.mirror_sync_ns:
+                                        spin_ns(self.mirror_sync_ns)
+                            if set(q.spec.mirrors) - entry.mirrored_on:
+                                raise BrokerDown(f"mirror of {qname} is down")
+                        self._enforce_spill(q)
                     accepted += 1
         finally:
             self.bodies.release(body_id)  # drop the staging reference
@@ -973,19 +926,14 @@ class ExchEngine(BrokerContract):
             self._flow_update()
         return handle
 
-    def cancel_consumer(self, handle: "ConsumerHandle", requeue_unacked: bool = True) -> None:
+    def cancel_consumer(self, handle: "ConsumerHandle") -> None:
+        """Detach a consumer; its unacked deliveries go back to the queue."""
         q = self._queue(handle.vhost, handle.queue)
         with q.lock:
             q.consumers.pop(handle.consumer_id, None)
             doomed = [tag for tag, (_, cid) in q.unacked.items() if cid == handle.consumer_id]
             for tag in doomed:
-                entry, _ = q.unacked.pop(tag)
-                if requeue_unacked:
-                    entry.delivery_count += 1
-                    if not q.insert(entry):
-                        self.bodies.release(entry.body_id)
-                else:
-                    self.bodies.release(entry.body_id)
+                self._requeue(q, q.unacked.pop(tag)[0])
         self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
@@ -1019,19 +967,10 @@ class ExchEngine(BrokerContract):
             return out
 
     def ack(self, queue: str, tag: int, vhost: str = "/") -> None:
-        q = self._queue(vhost, queue)
-        with q.lock:
-            if tag not in q.unacked:
-                raise UnknownTag(str(tag))
-            entry, cid = q.unacked.pop(tag)
-            cons = q.consumers.get(cid)
-            if cons is not None and cons.unacked > 0:
-                cons.unacked -= 1
-            self.bodies.release(entry.body_id)
-        self._pump(q)
-        self._flow_update()
+        self.nack(queue, tag, requeue=False, vhost=vhost)
 
     def nack(self, queue: str, tag: int, requeue: bool = True, vhost: str = "/") -> None:
+        """Settle a delivery: requeue it, or, as `ack` does, release it."""
         q = self._queue(vhost, queue)
         with q.lock:
             if tag not in q.unacked:
@@ -1041,9 +980,7 @@ class ExchEngine(BrokerContract):
             if cons is not None and cons.unacked > 0:
                 cons.unacked -= 1
             if requeue:
-                entry.delivery_count += 1
-                if not q.insert(entry):
-                    self.bodies.release(entry.body_id)
+                self._requeue(q, entry)
             else:
                 self.bodies.release(entry.body_id)
         self._pump(q)
@@ -1057,21 +994,9 @@ class ExchEngine(BrokerContract):
             if tag not in q.unacked:
                 return None
             entry, cid = q.unacked[tag]
-            cons = q.consumers.get(cid)
-            if cons is None:
+            if cid not in q.consumers:
                 return None
-            payload, from_spill = self.bodies.read(entry.body_id)
-            if from_spill and self.spill_read_ns:
-                spin_ns(self.spill_read_ns)
-            dup = Delivery(
-                tag=tag,
-                queue=q.spec.name,
-                consumer_id=cid,
-                message=self._entry_message(entry, payload),
-                redelivered=True,
-                from_spill=from_spill,
-            )
-            return dup
+            return self._delivery(q, entry, tag, cid, redelivered=True)
 
     # -- TTL and limits ----------------------------------------------------------
 
@@ -1122,6 +1047,23 @@ class ExchEngine(BrokerContract):
         if not q.entries:
             return None
         entry = q.pop_head()
+        tag = self._next_tag
+        self._next_tag += 1
+        entry.delivery_count += 1
+        delivery = self._delivery(q, entry, tag, cons.consumer_id, entry.delivery_count > 1)
+        if cons.auto_ack:
+            self.bodies.release(entry.body_id)
+        else:
+            q.unacked[tag] = (entry, cons.consumer_id)
+            cons.unacked += 1
+        return delivery
+
+    def _delivery(
+        self, q: _Queue, entry: _Entry, tag: int, consumer_id: str, redelivered: bool
+    ) -> Delivery:
+        """Read the entry's body and build its delivery.  An entry this queue
+        spilled is moved back to memory; a body another queue spilled is read
+        where it is.  Either way a read from the spill tier pays its cost."""
         if entry.spilled:
             payload = self.bodies.unspill(entry.body_id)
             entry.spilled = False
@@ -1130,26 +1072,7 @@ class ExchEngine(BrokerContract):
             payload, from_spill = self.bodies.read(entry.body_id)
         if from_spill and self.spill_read_ns:
             spin_ns(self.spill_read_ns)
-        tag = self._next_tag
-        self._next_tag += 1
-        entry.delivery_count += 1
-        delivery = Delivery(
-            tag=tag,
-            queue=q.spec.name,
-            consumer_id=cons.consumer_id,
-            message=self._entry_message(entry, payload),
-            redelivered=entry.delivery_count > 1,
-            from_spill=from_spill,
-        )
-        if cons.auto_ack:
-            self.bodies.release(entry.body_id)
-        else:
-            q.unacked[tag] = (entry, cons.consumer_id)
-            cons.unacked += 1
-        return delivery
-
-    def _entry_message(self, entry: _Entry, payload: bytes) -> Message:
-        return Message(
+        message = Message(
             flow_id=entry.flow,
             seq_no=entry.seq,
             # the consumer gets its own frame copy off the shared body
@@ -1159,6 +1082,27 @@ class ExchEngine(BrokerContract):
             produced_at=entry.produced_at,
             ttl_ms=entry.ttl_ms,
         )
+        return Delivery(
+            tag=tag,
+            queue=q.spec.name,
+            consumer_id=consumer_id,
+            message=message,
+            redelivered=redelivered,
+            from_spill=from_spill,
+        )
+
+    def _requeue(self, q: _Queue, entry: _Entry) -> None:
+        """Put a delivered entry back in its place; a copy of it already
+        queued absorbs it."""
+        entry.delivery_count += 1
+        if not q.insert(entry):
+            self.bodies.release(entry.body_id)
+
+    def _drop(self, removed: list[_Entry]) -> int:
+        """Release the bodies of entries taken out of their queue for good."""
+        for e in removed:
+            self.bodies.release(e.body_id)
+        return len(removed)
 
     def _pump(self, q: _Queue) -> None:
         """Push eager deliveries to PUSH consumers, round-robin, up to each
@@ -1182,10 +1126,7 @@ class ExchEngine(BrokerContract):
                         break
 
     def _expire_entries(self, q: _Queue, now: Optional[int] = None) -> int:
-        expired = q.expire(self.clock() if now is None else now)
-        for e in expired:
-            self.bodies.release(e.body_id)
-        return len(expired)
+        return self._drop(q.expire(self.clock() if now is None else now))
 
     def _enforce_spill(self, q: _Queue) -> int:
         cap = q.spec.memory_cap_bytes
@@ -1240,15 +1181,8 @@ class ExchEngine(BrokerContract):
             raise UnknownQueue(f"{vhost}{name}")
         return q
 
-    def _node(self, node_id: str) -> SimNode:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownEntity(f"node {node_id}")
-        return node
-
-    def _fire_fault(self, phase: str, target: str) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(phase, target)
+    def _unknown_node(self, node_id: str) -> ExchError:
+        return UnknownEntity(f"node {node_id}")
 
 
 class ConsumerHandle:
@@ -1278,30 +1212,74 @@ class ConsumerHandle:
         self.engine.nack(self.queue, tag, requeue=requeue, vhost=self.vhost)
 
 
+# --------------------------------------------------------------------------
+# topology files
+# --------------------------------------------------------------------------
+
+def _exchange_spec(item: dict, vhost: str) -> ExchangeSpec:
+    """One `exchanges` item of a topology mapping; `vhost` is the file's."""
+    return ExchangeSpec(
+        name=item["name"],
+        kind=ExchangeKind(item["kind"]),
+        vhost=item.get("vhost", vhost),
+        alternate=item.get("alternate"),
+    )
+
+
+def _queue_spec(item: dict, vhost: str) -> QueueSpec:
+    """One `queues` item of a topology mapping; `vhost` is the file's."""
+    return QueueSpec(
+        name=item["name"],
+        vhost=item.get("vhost", vhost),
+        max_length=item.get("max_length"),
+        default_ttl=item.get("default_ttl"),
+        memory_cap_bytes=item.get("memory_cap_bytes"),
+        spill_to_disk=item.get("spill_to_disk", False),
+        mirrors=tuple(item.get("mirrors", ())),
+        durable=item.get("durable", False),
+        overflow=OverflowPolicy(item.get("overflow", "drop_oldest")),
+    )
+
+
+def _binding_spec(item: dict, vhost: str) -> BindingSpec:
+    """One `bindings` item of a topology mapping; `vhost` is the file's."""
+    return BindingSpec(
+        exchange=item["exchange"],
+        queue=item["queue"],
+        vhost=item.get("vhost", vhost),
+        key=item.get("key"),
+        pattern=item.get("pattern"),
+        header_match=item.get("header_match"),
+        match_mode=MatchMode(item.get("match_mode", "all")),
+        weight=item.get("weight", 1),
+    )
+
+
 def validate_topology(topology: dict) -> list[str]:
-    """Schema-level validation of a topology mapping; returns problems."""
-    problems: list[str] = []
+    """What `load_topology` would reject, as a list of problems.  Each item
+    goes through the spec builder `load_topology` uses, and each binding
+    must name a declared exchange and queue.  Mirror node names are checked
+    only at load time: they depend on the engine's nodes."""
     if not isinstance(topology, dict):
         return ["topology must be a JSON object"]
-    names = set()
-    for ex in topology.get("exchanges", ()):
-        if "name" not in ex or "kind" not in ex:
-            problems.append(f"exchange missing name/kind: {ex!r}")
-            continue
-        try:
-            ExchangeKind(ex["kind"])
-        except ValueError:
-            problems.append(f"exchange {ex['name']}: unknown kind {ex['kind']!r}")
-        names.add(ex["name"])
-    qnames = set()
-    for q in topology.get("queues", ()):
-        if "name" not in q:
-            problems.append(f"queue missing name: {q!r}")
-            continue
-        qnames.add(q["name"])
-    for b in topology.get("bindings", ()):
-        if b.get("exchange") not in names:
-            problems.append(f"binding references unknown exchange {b.get('exchange')!r}")
-        if b.get("queue") not in qnames:
-            problems.append(f"binding references unknown queue {b.get('queue')!r}")
+    vhost = topology.get("vhost", "/")
+    problems: list[str] = []
+
+    def build(section: str, spec_of) -> list:
+        specs = []
+        for item in topology.get(section, ()):
+            try:
+                specs.append(spec_of(item, vhost))
+            except (KeyError, TypeError, ValueError) as e:
+                why = f"missing {e}" if isinstance(e, KeyError) else str(e)
+                problems.append(f"{section[:-1]} {item!r}: {why}")
+        return specs
+
+    exchanges = {ex.name for ex in build("exchanges", _exchange_spec)}
+    queues = {q.name for q in build("queues", _queue_spec)}
+    for b in build("bindings", _binding_spec):
+        if b.exchange not in exchanges:
+            problems.append(f"binding references unknown exchange {b.exchange!r}")
+        if b.queue not in queues:
+            problems.append(f"binding references unknown queue {b.queue!r}")
     return problems

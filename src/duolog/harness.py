@@ -44,7 +44,7 @@ from .exchbroker import (
     OverflowPolicy,
     QueueSpec,
 )
-from .logbroker import LogAckMode, LogEngine, OffsetOutOfRange, TopicConfig, partition_for
+from .logbroker import ACK_MODES, LogEngine, OffsetOutOfRange, TopicConfig
 
 
 class ScenarioInvalid(ValueError):
@@ -282,7 +282,6 @@ class _Run:
         self._phase_seen: list[set] = [set() for _ in range(len(Phase) + 1)]
         self.produce_attempts = 0
         self.deliveries = 0
-        self.producers_done = False
         self.drain_deadline: Optional[int] = None
         self._confirmed: set = set()
         self._fired: set = set()
@@ -577,10 +576,7 @@ class _LogScenario(_Scenario):
         super().__init__(run)
         s = run.s
         topo = s.topology
-        self.partitions = topo.get("partitions", 1)
-        self.ack_mode = {
-            "0": LogAckMode.ACKS_0, "1": LogAckMode.ACKS_1, "quorum": LogAckMode.ACKS_QUORUM,
-        }[str(topo.get("ack_mode", "1"))]
+        self.ack_mode = ACK_MODES[str(topo.get("ack_mode", "1"))]
         rf = s.qos.replication_factor
         flush = FlushPolicy(
             flush_interval_messages=topo.get("flush_messages", 1000),
@@ -591,7 +587,7 @@ class _LogScenario(_Scenario):
         self.engine.create_topic(
             TopicConfig(
                 self.topic,
-                partitions=self.partitions,
+                partitions=topo.get("partitions", 1),
                 replication_factor=rf,
                 flush=flush,
                 segment_bytes=topo.get("segment_bytes", 1 << 20),
@@ -606,7 +602,6 @@ class _LogScenario(_Scenario):
             m: _LogMember(self, m, [p for p, owner in assignment.items() if owner == m])
             for m in members
         }
-        self._rotor = 0
 
     def crash_target(self) -> Optional[str]:
         return next((n for n in self.engine.node_ids() if self.engine.nodes[n].alive), None)
@@ -620,17 +615,14 @@ class _LogScenario(_Scenario):
     def send(self, batch: tuple) -> str:
         try:
             self.engine.append_batch(
-                self.topic, self.partition_of(batch[0]), list(batch), self.ack_mode
+                self.topic,
+                self.engine.partition_for(self.topic, batch[0].key),
+                list(batch),
+                self.ack_mode,
             )
         except BrokerDown:
             return "down"
         return "confirmed"
-
-    def partition_of(self, msg: Message) -> int:
-        if msg.key is not None:
-            return partition_for(msg.key, self.partitions)
-        self._rotor += 1
-        return partition_for(None, self.partitions, rotation=self._rotor - 1)
 
     def drained(self) -> bool:
         for m in self.consumers.values():
@@ -771,7 +763,7 @@ class _ExchConsumer(_Consumer):
     def crash(self, down_ms: int) -> None:
         if self.crashed:
             return
-        self.scn.engine.cancel_consumer(self.handle, requeue_unacked=True)
+        self.scn.engine.cancel_consumer(self.handle)
         super().crash(down_ms)
 
     def restart(self) -> None:

@@ -39,9 +39,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, SimNode, spin_ns
+from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, spin_ns
 from .hashing import stable_hash64
 
 
@@ -105,6 +105,10 @@ class LogAckMode(Enum):
     ACKS_0 = 0        # fire and forget: acknowledged on enqueue
     ACKS_1 = 1        # acknowledged once the leader holds the batch
     ACKS_QUORUM = -1  # acknowledged once a majority of replicas hold it
+
+
+# the names scenario topologies and bench workloads give the ack modes
+ACK_MODES = {"0": LogAckMode.ACKS_0, "1": LogAckMode.ACKS_1, "quorum": LogAckMode.ACKS_QUORUM}
 
 
 @dataclass(frozen=True)
@@ -444,7 +448,7 @@ class LogEngine(BrokerContract):
     engine lock.  Safe for concurrent use by many producer/consumer threads.
     """
 
-    name = "log"
+    _unknown_node = UnknownNode
 
     def __init__(
         self,
@@ -455,28 +459,17 @@ class LogEngine(BrokerContract):
         fsync_latency_ns: int = 0,
         replica_ack_rtt_ns: int = 0,
     ) -> None:
-        if isinstance(nodes, int):
-            node_ids = [f"n{i}" for i in range(nodes)]
-        else:
-            node_ids = list(nodes)
-        if not node_ids:
-            raise ValueError("need at least one node")
-        self.nodes: dict[str, SimNode] = {nid: SimNode(nid) for nid in node_ids}
+        super().__init__(nodes, clock)
         self.topics: dict[str, Topic] = {}
         self.groups: dict[str, ConsumerGroup] = {}
-        self.clock = clock
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.fsync_latency_ns = fsync_latency_ns
         # waiting on a follower acknowledgment costs a second round trip
         self.replica_ack_rtt_ns = replica_ack_rtt_ns
         self._rotors: dict[str, int] = {}
         self._lock = threading.RLock()
-        self.fault_hook: Optional[Callable[[str, str, int], None]] = None
 
     # -- contract ----------------------------------------------------------
-
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
 
     def crash_node(self, node_id: str) -> None:
         node = self._node(node_id)
@@ -788,12 +781,6 @@ class LogEngine(BrokerContract):
 
     # -- internals ----------------------------------------------------------
 
-    def _node(self, node_id: str) -> SimNode:
-        node = self.nodes.get(node_id)
-        if node is None:
-            raise UnknownNode(node_id)
-        return node
-
     def _topic(self, name: str) -> Topic:
         t = self.topics.get(name)
         if t is None:
@@ -896,7 +883,3 @@ class LogEngine(BrokerContract):
         if records:
             rep.append_encoded(offsets, records, segment_bytes)
         rep.next_offset, rep.flushed_up_to = next_off, flushed
-
-    def _fire_fault(self, phase: str, topic: str, partition: int) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook(phase, topic, partition)

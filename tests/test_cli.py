@@ -115,6 +115,15 @@ def test_bench_bad_sweep(tmp_path):
     assert rc == 2
 
 
+def test_bench_rejects_an_ack_mode_the_log_does_not_have(tmp_path):
+    # each point would otherwise be measured at acks=1 under another label
+    out = tmp_path / "x.csv"
+    rc = main(["bench", "--engine", "log", "--sweep", "ack_mode=all,2",
+               "--duration", "0.4", "--warmup", "0.1", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # model
 # --------------------------------------------------------------------------

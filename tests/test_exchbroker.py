@@ -499,7 +499,11 @@ def test_body_spilled_by_another_queue_is_delivered_whole():
     assert any(d.from_spill for d in plain)
     # read in place: the plain queue's deliveries move no body back
     assert eng.bodies.spilled_bytes() == spilled_before
-    assert eng.redeliver_unacked("plain", plain[0].tag).message.payload == sent[0]
+    dup = eng.redeliver_unacked("plain", plain[0].tag)
+    assert dup.message.payload == sent[0]
+    assert dup.redelivered is True and dup.from_spill is True
+    assert (dup.tag, dup.consumer_id) == (plain[0].tag, plain[0].consumer_id)
+    assert eng.bodies.spilled_bytes() == spilled_before
     spill = eng.consume("spill", "c2", ConsumeMode.PULL, prefetch=100).pull(100)
     assert [d.message.payload for d in spill] == sent
 
@@ -731,6 +735,19 @@ def test_validate_topology_reports_problems():
            "bindings": [{"exchange": "missing", "queue": "q"}]}
     problems = validate_topology(bad)
     assert len(problems) >= 2
+    # each of these is one problem, and load_topology raises on it too
+    base = {"exchanges": [{"name": "e", "kind": "direct"}], "queues": [{"name": "q"}]}
+    rejected = [
+        dict(base, queues=[{"name": "q", "max_length": 0}]),
+        dict(base, queues=[{"name": "q", "default_ttl": -1}]),
+        dict(base, queues=[{"name": "q", "overflow": "nope"}]),
+        dict(base, bindings=[{"exchange": "e", "queue": "q", "weight": 0}]),
+        dict(base, bindings=[{"exchange": "e", "queue": "q", "match_mode": "some"}]),
+    ]
+    for topology in rejected:
+        assert len(validate_topology(topology)) == 1, topology
+        with pytest.raises(ValueError):
+            make_engine().load_topology(topology)
 
 
 # --------------------------------------------------------------------------
