@@ -2,13 +2,13 @@
 """Tour of the deterministic fault harness: the ownership-transfer timeline,
 what each delivery mode promises under faults, and byte-identical replay."""
 
-from duolog.bench import WorkloadSpec
 from duolog.core import Delivery, Ordering, QoSConfig
 from duolog.harness import (
     FaultEvent,
     FaultKind,
     FaultPlan,
     Scenario,
+    Workload,
     random_scenario,
     replay,
     run_scenario,
@@ -29,8 +29,8 @@ def show(result, qos):
         print(f"  first violations: {[f'{v.flow}/{v.seq}:{v.kind.value}' for v in r.violations[:4]]}")
 
 
-workload = WorkloadSpec(producers=2, consumers=2, record_size_bytes=32,
-                        messages_per_producer=10)
+workload = Workload(producers=2, consumers=2, record_size_bytes=32,
+                    messages_per_producer=10)
 
 section("at-least-once + dropped ack: the retransmit may duplicate, never lose")
 s = Scenario(

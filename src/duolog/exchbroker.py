@@ -28,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import BrokerContract, BrokerDown, Clock, Message, spin_ns, validate_message
 from .hashing import stable_hash64
@@ -759,13 +759,8 @@ class ExchEngine(BrokerContract):
     def load_topology(self, topology: dict) -> None:
         """Declare exchanges, queues and bindings from a topology mapping
         (the JSON file schema)."""
-        vhost = topology.get("vhost", "/")
-        for ex in topology.get("exchanges", ()):
-            self.declare_exchange(_exchange_spec(ex, vhost))
-        for q in topology.get("queues", ()):
-            self.declare_queue(_queue_spec(q, vhost))
-        for b in topology.get("bindings", ()):
-            self.bind(_binding_spec(b, vhost))
+        for _, _, error in _load(self, topology):
+            raise error
 
     # -- routing ------------------------------------------------------------
 
@@ -1255,31 +1250,46 @@ def _binding_spec(item: dict, vhost: str) -> BindingSpec:
     )
 
 
-def validate_topology(topology: dict) -> list[str]:
-    """What `load_topology` would reject, as a list of problems.  Each item
-    goes through the spec builder `load_topology` uses, and each binding
-    must name a declared exchange and queue.  Mirror node names are checked
-    only at load time: they depend on the engine's nodes."""
-    if not isinstance(topology, dict):
-        return ["topology must be a JSON object"]
-    vhost = topology.get("vhost", "/")
-    problems: list[str] = []
+# what building or declaring one malformed or conflicting item raises
+_ITEM_ERRORS = (ExchError, AttributeError, KeyError, TypeError, ValueError)
 
-    def build(section: str, spec_of) -> list:
-        specs = []
+
+def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, object, Exception]]:
+    """Declare each item of a topology mapping on `engine`, in load order:
+    exchanges, then queues, then bindings.  Each item goes through its spec
+    builder and then `declare_exchange`, `declare_queue` or `bind`; an item
+    that raises is yielded as (section, item, error) and loading goes on."""
+    vhost = topology.get("vhost", "/")
+    for section, spec_of, declare in (
+        ("exchanges", _exchange_spec, engine.declare_exchange),
+        ("queues", _queue_spec, engine.declare_queue),
+        ("bindings", _binding_spec, engine.bind),
+    ):
         for item in topology.get(section, ()):
             try:
-                specs.append(spec_of(item, vhost))
-            except (KeyError, TypeError, ValueError) as e:
-                why = f"missing {e}" if isinstance(e, KeyError) else str(e)
-                problems.append(f"{section[:-1]} {item!r}: {why}")
-        return specs
+                declare(spec_of(item, vhost))
+            except _ITEM_ERRORS as e:
+                yield section, item, e
 
-    exchanges = {ex.name for ex in build("exchanges", _exchange_spec)}
-    queues = {q.name for q in build("queues", _queue_spec)}
-    for b in build("bindings", _binding_spec):
-        if b.exchange not in exchanges:
-            problems.append(f"binding references unknown exchange {b.exchange!r}")
-        if b.queue not in queues:
-            problems.append(f"binding references unknown queue {b.queue!r}")
+
+def validate_topology(topology: dict) -> list[str]:
+    """What `load_topology` would reject, as a list of problems, one per
+    item that raises.  The topology is loaded into a scratch engine whose
+    nodes are the mirror names the file uses."""
+    if not isinstance(topology, dict):
+        return ["topology must be a JSON object"]
+    mirrors = {
+        m
+        for q in topology.get("queues", ())
+        if isinstance(q, dict) and isinstance(q.get("mirrors"), (list, tuple))
+        for m in q["mirrors"]
+        if isinstance(m, str)
+    }
+    scratch = ExchEngine(sorted(mirrors) or 1, latency_mode="none")
+    problems = []
+    for section, item, e in _load(scratch, topology):
+        why = f"missing {e}" if isinstance(e, KeyError) else str(e)
+        if isinstance(e, UnknownEntity):
+            why = f"unknown {why}"
+        problems.append(f"{section[:-1]} {item!r}: {why}")
     return problems

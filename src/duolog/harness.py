@@ -18,11 +18,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
-from .bench import WorkloadSpec
 from .core import (
     BrokerDown,
     CorrectnessReport,
@@ -41,8 +40,7 @@ from .exchbroker import (
     ExchEngine,
     ExchangeKind,
     ExchangeSpec,
-    OverflowPolicy,
-    QueueSpec,
+    _queue_spec,
 )
 from .logbroker import ACK_MODES, LogEngine, OffsetOutOfRange, TopicConfig
 
@@ -53,6 +51,23 @@ class ScenarioInvalid(ValueError):
 
 class NondeterminismDetected(RuntimeError):
     pass
+
+
+def _mapping(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ScenarioInvalid(f"{where} must be a JSON object, got {d!r}")
+    return d
+
+
+def _from_keys(cls, d, where: str, **read):
+    """Build dataclass `cls` from scenario-file mapping `d`, passing only the
+    keys present so every default stays the dataclass's; `read` maps a key
+    to the function that converts its value.  An unknown key, or a missing
+    one that has no default, raises `ScenarioInvalid`."""
+    try:
+        return cls(**{k: read[k](v) if k in read else v for k, v in _mapping(d, where).items()})
+    except TypeError as e:
+        raise ScenarioInvalid(f"{where}: {e}") from None
 
 
 # -- virtual time costs (ns); arbitrary but fixed ---------------------------
@@ -88,27 +103,11 @@ class FaultEvent:
     down_ms: int = 20                # CRASH_NODE / CRASH_CONSUMER outage
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "on": self.on,
-            "index": self.index,
-            "at_ms": self.at_ms,
-            "target": self.target,
-            "delay_ms": self.delay_ms,
-            "down_ms": self.down_ms,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultEvent":
-        return cls(
-            kind=FaultKind(d["kind"]),
-            on=d.get("on", "produce"),
-            index=d.get("index", 0),
-            at_ms=d.get("at_ms"),
-            target=d.get("target"),
-            delay_ms=d.get("delay_ms", 5),
-            down_ms=d.get("down_ms", 20),
-        )
+        return _from_keys(cls, d, "fault", kind=FaultKind)
 
 
 @dataclass(frozen=True)
@@ -142,24 +141,32 @@ _new_tuple = tuple.__new__  # builds a PhaseEvent without its Python-level __new
 
 
 @dataclass(frozen=True)
+class Workload:
+    """How many producers and consumers a scenario runs, the record size,
+    and how many messages each producer sends."""
+
+    producers: int = 1
+    consumers: int = 1
+    record_size_bytes: int = 16
+    messages_per_producer: int = 10
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A reproducible run: engine, topology, workload, QoS, faults, seed."""
 
     engine: str                      # "log" | "exch"
-    workload: WorkloadSpec
+    workload: Workload
     qos: QoSConfig
     topology: dict = field(default_factory=dict)
     faults: FaultPlan = FaultPlan()
     seed: int = 0
     drain_deadline_ms: int = 5000
     retry_limit: int = 5
-    defects: tuple = ()
 
     def validate(self) -> None:
         if self.engine not in ("log", "exch"):
             raise ScenarioInvalid(f"unknown engine {self.engine!r}")
-        if self.workload.messages_per_producer is None:
-            raise ScenarioInvalid("scenario workloads need messages_per_producer")
         if self.qos.ordering is Ordering.GLOBAL_SINGLE_LANE:
             if self.engine == "log" and self.topology.get("partitions", 1) != 1:
                 raise ScenarioInvalid("global single lane needs exactly one partition")
@@ -175,49 +182,32 @@ class Scenario:
             "seed": self.seed,
             "drain_deadline_ms": self.drain_deadline_ms,
             "retry_limit": self.retry_limit,
-            "defects": list(self.defects),
             "topology": self.topology,
-            "workload": {
-                "producers": self.workload.producers,
-                "consumers": self.workload.consumers,
-                "record_size_bytes": self.workload.record_size_bytes,
-                "messages_per_producer": self.workload.messages_per_producer,
-            },
+            "workload": asdict(self.workload),
             "qos": {
                 "delivery": self.qos.delivery.value,
                 "ordering": self.qos.ordering.value,
                 "replication_factor": self.qos.replication_factor,
-                "ack_mode": self.topology.get("ack_mode", "1"),
             },
             "faults": self.faults.to_list(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        w = d.get("workload", {})
-        q = d.get("qos", {})
-        topology = dict(d.get("topology", {}))
-        if "ack_mode" in q:
-            topology.setdefault("ack_mode", q["ack_mode"])
-        return cls(
-            engine=d["engine"],
-            workload=WorkloadSpec(
-                producers=w.get("producers", 1),
-                consumers=w.get("consumers", 1),
-                record_size_bytes=w.get("record_size_bytes", 16),
-                messages_per_producer=w.get("messages_per_producer", 10),
-            ),
-            qos=QoSConfig(
-                delivery=Delivery(q.get("delivery", "at_least_once")),
-                ordering=Ordering(q.get("ordering", "none")),
-                replication_factor=q.get("replication_factor", 1),
-            ),
-            topology=topology,
-            faults=FaultPlan.from_list(d.get("faults", [])),
-            seed=d.get("seed", 0),
-            drain_deadline_ms=d.get("drain_deadline_ms", 5000),
-            retry_limit=d.get("retry_limit", 5),
-            defects=tuple(d.get("defects", ())),
+        """Read a scenario file's mapping: an absent key takes its dataclass
+        default, and an unknown key raises `ScenarioInvalid`.  `topology` is
+        free-form; an `ack_mode` under `qos` is moved into it."""
+        d = {"workload": {}, "qos": {}, **_mapping(d, "scenario")}
+        d["qos"] = qos = dict(_mapping(d["qos"], "qos"))
+        if "ack_mode" in qos:
+            topology = _mapping(d.get("topology", {}), "topology")
+            d["topology"] = {"ack_mode": qos.pop("ack_mode"), **topology}
+        return _from_keys(
+            cls, d, "scenario",
+            workload=lambda w: _from_keys(Workload, w, "workload"),
+            qos=lambda q: _from_keys(QoSConfig, q, "qos", delivery=Delivery, ordering=Ordering),
+            topology=lambda t: dict(_mapping(t, "topology")),
+            faults=FaultPlan.from_list,
         )
 
 
@@ -388,8 +378,6 @@ class _Scenario:
         self.at_least_once = s.qos.delivery is Delivery.AT_LEAST_ONCE
         self.stop_and_wait = s.qos.ordering is not Ordering.NONE
         self.payload = b"\x00" * w.record_size_bytes
-        # deliberately broken build (mutation testing), armed for one batch
-        self.lose_confirmed = "lose_confirmed" in s.defects
         self.producers = [_Producer(self, i, w.messages_per_producer) for i in range(w.producers)]
 
     def start(self) -> None:
@@ -460,15 +448,7 @@ class _Producer:
         for ev in run.due("produce", run.produce_attempts, FaultKind.CRASH_NODE):
             scn.apply_fault(ev)
         run.clock.t += T_HANDLE
-        if scn.lose_confirmed and batch[-1].seq_no >= 2:
-            # the last message never reaches the engine, yet the whole
-            # batch is reported confirmed
-            scn.lose_confirmed = False
-            if len(batch) > 1:
-                scn.send(batch[:-1])
-            outcome = "confirmed"
-        else:
-            outcome = scn.send(batch)
+        outcome = scn.send(batch)
         if outcome == "down":
             self._no_ack(batch, attempt)
             return
@@ -576,7 +556,10 @@ class _LogScenario(_Scenario):
         super().__init__(run)
         s = run.s
         topo = s.topology
-        self.ack_mode = ACK_MODES[str(topo.get("ack_mode", "1"))]
+        ack_mode = str(topo.get("ack_mode", "1"))
+        if ack_mode not in ACK_MODES:
+            raise ScenarioInvalid(f"ack_mode must be one of {sorted(ACK_MODES)}, got {ack_mode!r}")
+        self.ack_mode = ACK_MODES[ack_mode]
         rf = s.qos.replication_factor
         flush = FlushPolicy(
             flush_interval_messages=topo.get("flush_messages", 1000),
@@ -701,22 +684,13 @@ class _ExchScenario(_Scenario):
     def __init__(self, run: _Run):
         super().__init__(run)
         topo = run.s.topology
-        mirrors = tuple(topo.get("mirrors", ()))
-        durable = topo.get("durable", self.at_least_once and not mirrors)
         self.engine = ExchEngine(3, clock=run.clock.now, latency_mode="none")
         self.engine.declare_exchange(ExchangeSpec("x", ExchangeKind.DIRECT))
         self.queue = "q"
-        self.engine.declare_queue(
-            QueueSpec(
-                self.queue,
-                durable=durable,
-                mirrors=mirrors,
-                max_length=topo.get("max_length"),
-                overflow=OverflowPolicy(topo.get("overflow", "drop_oldest")),
-                memory_cap_bytes=topo.get("memory_cap_bytes"),
-                spill_to_disk=topo.get("spill_to_disk", False),
-            )
-        )
+        # the topology's queue keys, read as a topology file's queue item
+        durable = self.at_least_once and not topo.get("mirrors")
+        item = {"durable": durable, **topo, "name": self.queue, "vhost": "/"}
+        self.engine.declare_queue(_queue_spec(item, "/"))
         self.engine.bind(BindingSpec("x", self.queue, key=self.routing_key))
         # one channel per flow keeps each flow's publishes in order
         self.channels = {p.flow: self.engine.channel() for p in self.producers}
@@ -846,12 +820,11 @@ def random_scenario(engine: str, seed: int) -> Scenario:
     producers = rng.randint(1, 3)
     consumers = rng.randint(1, 2)
     messages = rng.randint(6, 16)
-    workload = WorkloadSpec(
+    workload = Workload(
         producers=producers,
         consumers=consumers,
         record_size_bytes=rng.choice([8, 32, 128]),
         messages_per_producer=messages,
-        seed=seed,
     )
 
     faults = []

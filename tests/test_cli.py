@@ -54,15 +54,36 @@ def test_verify_pass(tmp_path, capsys):
     assert out["no_loss"] is True
 
 
-@pytest.mark.parametrize("clean", [GOOD_SCENARIO, LOG_SCENARIO], ids=["exch", "log"])
-def test_verify_broken_engine_build_fails(tmp_path, capsys, clean):
-    assert main(["verify", write_json(tmp_path / "clean.json", clean)]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
-    broken = dict(clean, defects=["lose_confirmed"])
-    rc = main(["verify", write_json(tmp_path / "s.json", broken)])
+# consumer c0 is down from its first delivery while a node crash destroys the
+# only copy of messages already confirmed: a non-durable exchange queue on
+# its home node, or a one-replica log partition that has not flushed
+CONSUMER_DOWN = {"kind": "crash_consumer", "on": "deliver", "index": 1,
+                 "target": "c0", "down_ms": 30}
+LOSSY_SCENARIOS = [
+    dict(GOOD_SCENARIO, topology={"durable": False}, faults=[
+        CONSUMER_DOWN, {"kind": "crash_node", "on": "produce", "index": 8, "down_ms": 5}]),
+    dict(LOG_SCENARIO, topology={"partitions": 1, "flush_messages": 1000}, faults=[
+        CONSUMER_DOWN,
+        {"kind": "crash_node", "on": "produce", "index": 3, "target": "n0", "down_ms": 5}]),
+]
+
+
+@pytest.mark.parametrize("lossy", LOSSY_SCENARIOS, ids=["exch", "log"])
+def test_verify_lossy_configuration_fails(tmp_path, capsys, lossy):
+    rc = main(["verify", write_json(tmp_path / "s.json", lossy)])
     assert rc == 1
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "fail:loss"
+    assert len(out["violations"]) == 6
+
+
+@pytest.mark.parametrize("bad, named", [
+    (dict(GOOD_SCENARIO, drain_deadline=10), "'drain_deadline'"),
+    (dict(LOG_SCENARIO, qos=dict(LOG_SCENARIO["qos"], ack_mode="all")), "'quorum'"),
+], ids=["misspelled-key", "unknown-ack-mode"])
+def test_verify_rejects_a_bad_scenario_file(tmp_path, capsys, bad, named):
+    assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_verify_missing_file():

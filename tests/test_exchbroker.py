@@ -748,6 +748,19 @@ def test_validate_topology_reports_problems():
         assert len(validate_topology(topology)) == 1, topology
         with pytest.raises(ValueError):
             make_engine().load_topology(topology)
+    # a redeclaration with another kind, and a binding across vhosts
+    conflicting = [
+        dict(base, exchanges=[{"name": "e", "kind": "direct"}, {"name": "e", "kind": "fanout"}]),
+        dict(base, exchanges=[{"name": "e", "kind": "direct", "vhost": "/a"}],
+             bindings=[{"exchange": "e", "queue": "q"}]),
+    ]
+    for topology in conflicting:
+        assert len(validate_topology(topology)) == 1, topology
+        with pytest.raises((SpecConflict, UnknownEntity)):
+            make_engine().load_topology(topology)
+    # a malformed item is reported, not raised; mirror names are the file's own
+    assert len(validate_topology(dict(base, queues=[{"name": "q", "mirrors": 5}]))) == 1
+    assert validate_topology(dict(base, queues=[{"name": "q", "mirrors": ["n1"]}])) == []
 
 
 # --------------------------------------------------------------------------

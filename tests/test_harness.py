@@ -3,12 +3,15 @@ timelines.  The full 1000-scenario sweeps live in the acceptance suite;
 these are targeted probes."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from duolog import harness
-from duolog.bench import WorkloadSpec
 from duolog.core import CorrectnessReport, Delivery, Ordering, QoSConfig
 from duolog.harness import (
     FaultEvent,
@@ -19,6 +22,7 @@ from duolog.harness import (
     Scenario,
     ScenarioInvalid,
     Verdict,
+    Workload,
     random_scenario,
     replay,
     run_scenario,
@@ -36,8 +40,8 @@ def scenario(engine, delivery, faults=(), ordering=Ordering.NONE, seed=7, **topo
     topology.update(topo)
     return Scenario(
         engine=engine,
-        workload=WorkloadSpec(producers=2, consumers=2, record_size_bytes=16,
-                              messages_per_producer=8),
+        workload=Workload(producers=2, consumers=2, record_size_bytes=16,
+                          messages_per_producer=8),
         qos=qos,
         topology=topology,
         faults=FaultPlan(events=tuple(faults)),
@@ -138,8 +142,8 @@ def test_node_crash_at_least_once_with_quorum_survives():
     faults = [FaultEvent(FaultKind.CRASH_NODE, on="produce", index=6, down_ms=15)]
     s = Scenario(
         engine="log",
-        workload=WorkloadSpec(producers=2, consumers=1, record_size_bytes=16,
-                              messages_per_producer=10),
+        workload=Workload(producers=2, consumers=1, record_size_bytes=16,
+                          messages_per_producer=10),
         qos=QoSConfig(delivery=Delivery.AT_LEAST_ONCE, replication_factor=3),
         topology={"partitions": 1, "ack_mode": "quorum", "flush_messages": 1000},
         faults=FaultPlan(events=tuple(faults)),
@@ -273,8 +277,48 @@ def test_scenario_serialization_round_trip():
     assert run_scenario(again).journals_blob() == run_scenario(s).journals_blob()
 
 
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_scenario_file_round_trip_is_exact(engine):
+    for seed in range(200):
+        s = random_scenario(engine, seed)
+        assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s, seed
+
+
+def test_scenario_file_defaults_are_the_dataclasses():
+    s = Scenario.from_dict({"engine": "exch"})
+    assert s == Scenario(engine="exch", workload=Workload(), qos=QoSConfig())
+    # an ack_mode under qos is still read, into the topology
+    s = Scenario.from_dict({"engine": "log", "qos": {"ack_mode": "quorum"}})
+    assert s.topology == {"ack_mode": "quorum"} and s.qos == QoSConfig()
+
+
+@pytest.mark.parametrize("bad", [
+    {"drain_deadline": 10},
+    {"workload": {"producer": 3}},
+    {"qos": {"ordring": "per_channel"}},
+    {"faults": [{"kind": "drop_ack", "indx": 2}]},
+], ids=["top", "workload", "qos", "fault"])
+def test_scenario_file_rejects_unknown_keys(bad):
+    with pytest.raises(ScenarioInvalid):
+        Scenario.from_dict({"engine": "exch", **bad})
+
+
+def test_unknown_log_ack_mode_is_invalid():
+    s = Scenario.from_dict({"engine": "log", "topology": {"ack_mode": "all"}})
+    with pytest.raises(ScenarioInvalid, match="quorum"):
+        run_scenario(s)
+
+
+def test_harness_does_not_import_bench():
+    code = "import sys, duolog.harness; print('duolog.bench' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_scenario_validation():
-    s = Scenario(engine="bogus", workload=WorkloadSpec(messages_per_producer=3),
+    s = Scenario(engine="bogus", workload=Workload(messages_per_producer=3),
                  qos=QoSConfig())
     with pytest.raises(ScenarioInvalid):
         run_scenario(s)
@@ -283,7 +327,7 @@ def test_scenario_validation():
 def test_global_single_lane_validation():
     s = Scenario(
         engine="log",
-        workload=WorkloadSpec(messages_per_producer=3),
+        workload=Workload(messages_per_producer=3),
         qos=QoSConfig(ordering=Ordering.GLOBAL_SINGLE_LANE),
         topology={"partitions": 2},
     )
