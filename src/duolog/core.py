@@ -72,7 +72,10 @@ class MismatchedFlows(ValueError):
 # messages and QoS
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+_FRESH_HEADERS = object()  # `Message` default: a new `{}` per instance
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """The unit of transfer.
 
@@ -81,6 +84,11 @@ class Message:
     exchange routing and must be dot-separated non-empty segments.
     `produced_at` is a monotonic timestamp in nanoseconds; `ttl_ms` is an
     optional time-to-live in milliseconds.
+
+    Slotted and frozen.  `__init__` stores each field through its slot
+    descriptor instead of the generated one's `object.__setattr__` per
+    field, which makes a build about twice as fast; fields, `replace`,
+    repr, equality, hashing and `FrozenInstanceError` stay the dataclass's.
     """
 
     flow_id: str
@@ -91,6 +99,33 @@ class Message:
     headers: dict = field(default_factory=dict)
     produced_at: int = 0
     ttl_ms: Optional[int] = None
+
+    def __init__(
+        self,
+        flow_id: str,
+        seq_no: int,
+        payload: bytes = b"",
+        key: Optional[bytes] = None,
+        routing_key: Optional[str] = None,
+        headers: dict = _FRESH_HEADERS,
+        produced_at: int = 0,
+        ttl_ms: Optional[int] = None,
+    ) -> None:
+        _set_flow_id(self, flow_id)
+        _set_seq_no(self, seq_no)
+        _set_payload(self, payload)
+        _set_key(self, key)
+        _set_routing_key(self, routing_key)
+        _set_headers(self, {} if headers is _FRESH_HEADERS else headers)
+        _set_produced_at(self, produced_at)
+        _set_ttl_ms(self, ttl_ms)
+
+
+# the slot descriptors' setters, bound once for `Message.__init__`
+(_set_flow_id, _set_seq_no, _set_payload, _set_key, _set_routing_key,
+ _set_headers, _set_produced_at, _set_ttl_ms) = (
+    getattr(Message, name).__set__ for name in Message.__slots__
+)
 
 
 def validate_message(msg: Message) -> None:

@@ -759,7 +759,7 @@ class ExchEngine(BrokerContract):
     def load_topology(self, topology: dict) -> None:
         """Declare exchanges, queues and bindings from a topology mapping
         (the JSON file schema)."""
-        for _, _, error in _load(self, topology):
+        for _, error in _load(self, topology):
             raise error
 
     # -- routing ------------------------------------------------------------
@@ -1254,22 +1254,27 @@ def _binding_spec(item: dict, vhost: str) -> BindingSpec:
 _ITEM_ERRORS = (ExchError, AttributeError, KeyError, TypeError, ValueError)
 
 
-def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, object, Exception]]:
+def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, Exception]]:
     """Declare each item of a topology mapping on `engine`, in load order:
     exchanges, then queues, then bindings.  Each item goes through its spec
     builder and then `declare_exchange`, `declare_queue` or `bind`; an item
-    that raises is yielded as (section, item, error) and loading goes on."""
+    that raises is yielded as (where, error), where naming the item, and
+    loading goes on.  A section that is not a list yields one `ExchError`."""
     vhost = topology.get("vhost", "/")
     for section, spec_of, declare in (
         ("exchanges", _exchange_spec, engine.declare_exchange),
         ("queues", _queue_spec, engine.declare_queue),
         ("bindings", _binding_spec, engine.bind),
     ):
-        for item in topology.get(section, ()):
+        items = topology.get(section, ())
+        if not isinstance(items, (list, tuple)):
+            yield "topology", ExchError(f"{section} must be a list, got {items!r}")
+            continue
+        for item in items:
             try:
                 declare(spec_of(item, vhost))
             except _ITEM_ERRORS as e:
-                yield section, item, e
+                yield f"{section[:-1]} {item!r}", e
 
 
 def validate_topology(topology: dict) -> list[str]:
@@ -1278,18 +1283,19 @@ def validate_topology(topology: dict) -> list[str]:
     nodes are the mirror names the file uses."""
     if not isinstance(topology, dict):
         return ["topology must be a JSON object"]
+    queues = topology.get("queues", ())
     mirrors = {
         m
-        for q in topology.get("queues", ())
+        for q in (queues if isinstance(queues, (list, tuple)) else ())
         if isinstance(q, dict) and isinstance(q.get("mirrors"), (list, tuple))
         for m in q["mirrors"]
         if isinstance(m, str)
     }
     scratch = ExchEngine(sorted(mirrors) or 1, latency_mode="none")
     problems = []
-    for section, item, e in _load(scratch, topology):
+    for where, e in _load(scratch, topology):
         why = f"missing {e}" if isinstance(e, KeyError) else str(e)
         if isinstance(e, UnknownEntity):
             why = f"unknown {why}"
-        problems.append(f"{section[:-1]} {item!r}: {why}")
+        problems.append(f"{where}: {why}")
     return problems

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -59,13 +59,26 @@ def _mapping(d, where: str) -> dict:
     return d
 
 
+# integer fields by their annotation (a string: the modules postpone
+# annotations), and whether the field also takes None
+_INTEGER_FIELDS = {"int": False, "Optional[int]": True}
+
+
 def _from_keys(cls, d, where: str, **read):
     """Build dataclass `cls` from scenario-file mapping `d`, passing only the
     keys present so every default stays the dataclass's; `read` maps a key
-    to the function that converts its value.  An unknown key, or a missing
-    one that has no default, raises `ScenarioInvalid`."""
+    to the function that converts its value.  An unknown key, a missing one
+    that has no default, or a value of an integer field that is not an
+    integer (a "2", 2.0 or true would fail deep in a run) raises
+    `ScenarioInvalid`."""
+    d = _mapping(d, where)
+    for f in fields(cls):
+        if f.name in d and f.type in _INTEGER_FIELDS:
+            value = d[f.name]
+            if type(value) is not int and not (value is None and _INTEGER_FIELDS[f.type]):
+                raise ScenarioInvalid(f"{where}: {f.name} must be an integer, got {value!r}")
     try:
-        return cls(**{k: read[k](v) if k in read else v for k, v in _mapping(d, where).items()})
+        return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
     except TypeError as e:
         raise ScenarioInvalid(f"{where}: {e}") from None
 

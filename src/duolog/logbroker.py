@@ -150,6 +150,14 @@ class AckPhase(Enum):
     QUORUM = "quorum"
 
 
+# the phase at which `append_batch` acknowledges under each ack mode
+_ACK_PHASE = {
+    LogAckMode.ACKS_0: AckPhase.ENQUEUED,
+    LogAckMode.ACKS_1: AckPhase.LEADER,
+    LogAckMode.ACKS_QUORUM: AckPhase.QUORUM,
+}
+
+
 @dataclass(frozen=True)
 class AppendReceipt:
     base_offset: int
@@ -235,14 +243,8 @@ def decode_record(buf: bytes, pos: int = 0) -> tuple[int, Message, int]:
         pos += headers_len
     end = pos + payload_len
     msg = Message(
-        flow_id=flow,
-        seq_no=seq,
-        payload=buf[pos:end],
-        key=key,
-        routing_key=rk,
-        headers=headers,
-        produced_at=produced_at,
-        ttl_ms=None if ttl == _NO_TTL else ttl,
+        flow, seq, buf[pos:end], key, rk, headers, produced_at,
+        None if ttl == _NO_TTL else ttl,
     )
     return offset, msg, end
 
@@ -429,7 +431,7 @@ def partition_for(key: Optional[bytes], n_partitions: int, rotation: int = 0) ->
         raise ValueError("n_partitions must be >= 1")
     if key is None:
         return rotation % n_partitions
-    return stable_hash64(bytes(key)) % n_partitions
+    return stable_hash64(key) % n_partitions
 
 
 # --------------------------------------------------------------------------
@@ -590,12 +592,9 @@ class LogEngine(BrokerContract):
                 )
             if acks is LogAckMode.ACKS_QUORUM and rf >= 2 and self.replica_ack_rtt_ns:
                 spin_ns(self.replica_ack_rtt_ns)
-            phase = {
-                LogAckMode.ACKS_0: AckPhase.ENQUEUED,
-                LogAckMode.ACKS_1: AckPhase.LEADER,
-                LogAckMode.ACKS_QUORUM: AckPhase.QUORUM,
-            }[acks]
-            return AppendReceipt(base_offset=base, count=len(msgs), acked_at_phase=phase)
+            return AppendReceipt(
+                base_offset=base, count=len(msgs), acked_at_phase=_ACK_PHASE[acks]
+            )
 
     def fetch(
         self,
@@ -613,22 +612,34 @@ class LogEngine(BrokerContract):
         part = self._partition(t, partition)
         with part.lock:
             leader = self._leader(part)
-            hw = self._high_watermark(part, t.config.replication_factor)
+            hw = self._high_watermark(part, t.config.replication_factor, leader)
             start = leader.start_offset
             if offset < start:
                 raise OffsetOutOfRange(f"offset {offset} < oldest retained {start}")
             if offset > leader.next_offset:
                 raise OffsetOutOfRange(f"offset {offset} > next offset {leader.next_offset}")
             out: list[Message] = []
+            if offset >= hw:
+                return out, hw
+            # the last segment that can hold `offset`: a segment's offsets
+            # start at or above its base, and the segments are in order
+            segs = leader.segments
+            s = len(segs) - 1
+            while s > 0 and segs[s].base_offset > offset:
+                s -= 1
             used = 0
-            for off, rec in leader.records_from(offset):
-                if off >= hw:
-                    break
-                if out and used + len(rec) > max_bytes:
-                    break
-                _, msg, _ = decode_record(rec)
-                out.append(msg)
-                used += len(rec)
+            for seg in segs[s:]:
+                offsets, records = seg.offsets, seg.records
+                for i in range(bisect_left(offsets, offset), len(offsets)):
+                    if offsets[i] >= hw:
+                        return out, hw
+                    rec = records[i]
+                    used += len(rec)
+                    if used > max_bytes and out:
+                        return out, hw
+                    # looked up by its module name on every call, so that
+                    # a wrapper installed on `decode_record` sees each one
+                    out.append(decode_record(rec)[1])
             return out, hw
 
     def flush_all(self, topic: str) -> None:
@@ -803,17 +814,21 @@ class LogEngine(BrokerContract):
             raise BrokerDown(f"all replicas of {part.topic}/{part.index} down")
         return best
 
-    def _high_watermark(self, part: Partition, rf: int) -> int:
+    def _high_watermark(
+        self, part: Partition, rf: int, leader: Optional[Replica] = None
+    ) -> int:
+        """Pass `leader` when the caller already holds it; without it the
+        leader is looked up only where the watermark needs it."""
         if rf == 1:
-            return self._leader(part).next_offset
+            return (leader or self._leader(part)).next_offset
         hw = self._quorum_offset(part, rf)
         if part.hw_floor > hw:
-            hw = min(part.hw_floor, self._leader(part).next_offset)
+            hw = min(part.hw_floor, (leader or self._leader(part)).next_offset)
         return hw
 
     def _quorum_offset(self, part: Partition, rf: int) -> int:
-        tops = sorted((r.next_offset for r in part.replicas), reverse=True)
-        return tops[quorum_size(rf) - 1]
+        """The highest offset held by a quorum of replicas."""
+        return sorted([r.next_offset for r in part.replicas])[-quorum_size(rf)]
 
     def _catch_up(self, rep: Replica, leader: Replica, cfg: TopicConfig) -> None:
         missing = list(leader.records_from(rep.next_offset))

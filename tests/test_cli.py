@@ -80,7 +80,8 @@ def test_verify_lossy_configuration_fails(tmp_path, capsys, lossy):
 @pytest.mark.parametrize("bad, named", [
     (dict(GOOD_SCENARIO, drain_deadline=10), "'drain_deadline'"),
     (dict(LOG_SCENARIO, qos=dict(LOG_SCENARIO["qos"], ack_mode="all")), "'quorum'"),
-], ids=["misspelled-key", "unknown-ack-mode"])
+    ({"engine": "exch", "workload": {"producers": "2"}}, "producers must be an integer"),
+], ids=["misspelled-key", "unknown-ack-mode", "string-for-an-integer"])
 def test_verify_rejects_a_bad_scenario_file(tmp_path, capsys, bad, named):
     assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
     assert named in capsys.readouterr().err
@@ -250,6 +251,14 @@ def test_topo_valid(tmp_path):
 def test_topo_invalid(tmp_path):
     bad = {"exchanges": [{"name": "e", "kind": "bogus"}]}
     assert main(["topo", write_json(tmp_path / "t.json", bad)]) == 1
+
+
+def test_topo_section_that_is_not_a_list(tmp_path, capsys):
+    assert main(["topo", write_json(tmp_path / "t.json", {"queues": 5})]) == 1
+    assert capsys.readouterr().out == "topology: queues must be a list, got 5\n"
+    every_section = {"exchanges": 1, "queues": 2, "bindings": 3}
+    assert main(["topo", write_json(tmp_path / "t.json", every_section)]) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_topo_missing_file():

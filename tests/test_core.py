@@ -1,9 +1,11 @@
 """Core types and the correctness checker, including the exhaustive
 brute-force equivalence check for small journals."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -111,12 +113,41 @@ def test_message_repr_replace_and_frozen():
     )
     assert r.headers == m.headers
     assert dataclasses.replace(m) == m
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.seq_no = 9
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del m.payload
-    with pytest.raises(TypeError):
+    for name in ("seq_no", "headers", "ttl_ms"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(m, name)
+    # a name that is not a field has no slot; the generated frozen
+    # __setattr__ of a slotted class raises TypeError for it on some versions
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        m.unknown = 9
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        del m.unknown
+    assert m == Message("f", 1, payload=b"x", routing_key="k", produced_at=5)
+    with pytest.raises(TypeError, match="seq_no"):
         Message("f")
+    with pytest.raises(TypeError, match="bogus"):
+        Message("f", 1, bogus=2)
+    with pytest.raises(TypeError):
+        Message("f", 1, b"", None, None, {}, 0, None, "extra")
+    with pytest.raises(TypeError, match="flow_id"):
+        Message("f", 1, flow_id="g")
+
+
+def test_message_is_slotted_and_copies_like_the_generated_dataclass():
+    m = Message("f", 1, b"x", b"k", "a.b", {"h": [1, 2]}, 5, 100)
+    assert not hasattr(m, "__dict__")
+    assert Message.__slots__ == tuple(f.name for f in dataclasses.fields(Message))
+    for clone in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert clone == m and type(clone) is Message
+    assert copy.deepcopy(m).headers is not m.headers
+    assert copy.copy(m).headers is m.headers
+    r = dataclasses.replace(m, headers=None, ttl_ms=None)
+    assert (r.headers, r.ttl_ms, r.payload) == (None, None, b"x")
+    assert hash(r) == hash(dataclasses.replace(r))
+    with pytest.raises(TypeError):
+        hash(m)  # a dict of headers is unhashable, as with the generated __hash__
 
 
 def test_flush_policy_needs_one_bound():

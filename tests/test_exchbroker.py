@@ -763,6 +763,18 @@ def test_validate_topology_reports_problems():
     assert validate_topology(dict(base, queues=[{"name": "q", "mirrors": ["n1"]}])) == []
 
 
+@pytest.mark.parametrize("value", [5, "q", {"name": "q"}, None, True])
+@pytest.mark.parametrize("section", ["exchanges", "queues", "bindings"])
+def test_a_topology_section_that_is_not_a_list_is_one_problem(section, value):
+    topology = dict(TOPOLOGY, **{section: value})
+    problems = validate_topology(topology)
+    assert problems[0] == f"topology: {section} must be a list, got {value!r}"
+    # the other sections still load: only the binding to what is missing fails
+    assert len(problems) == (1 if section == "bindings" else 2)
+    with pytest.raises(ExchError, match=section):
+        make_engine().load_topology(topology)
+
+
 # --------------------------------------------------------------------------
 # queue indexes and memory counters against full recounts and a list model
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 timelines.  The full 1000-scenario sweeps live in the acceptance suite;
 these are targeted probes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -301,6 +302,30 @@ def test_scenario_file_defaults_are_the_dataclasses():
 def test_scenario_file_rejects_unknown_keys(bad):
     with pytest.raises(ScenarioInvalid):
         Scenario.from_dict({"engine": "exch", **bad})
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True, None, [2]])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Workload)])
+def test_scenario_file_rejects_a_workload_value_of_the_wrong_type(name, value):
+    with pytest.raises(ScenarioInvalid, match=f"workload: {name} must be an integer"):
+        Scenario.from_dict({"engine": "exch", "workload": {name: value}})
+    assert getattr(Scenario.from_dict({"engine": "exch", "workload": {name: 2}}).workload,
+                   name) == 2
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"seed": "1"}, "scenario: seed"),
+    ({"drain_deadline_ms": 9.5}, "scenario: drain_deadline_ms"),
+    ({"qos": {"replication_factor": "2"}}, "qos: replication_factor"),
+    ({"faults": [{"kind": "drop_ack", "index": "2"}]}, "fault: index"),
+    ({"faults": [{"kind": "drop_ack", "on": "time", "at_ms": "5"}]}, "fault: at_ms"),
+])
+def test_scenario_file_rejects_other_integers_of_the_wrong_type(bad, named):
+    with pytest.raises(ScenarioInvalid, match=f"{named} must be an integer"):
+        Scenario.from_dict({"engine": "log", **bad})
+    # an optional integer may be null
+    fault = {"kind": "drop_ack", "on": "time", "at_ms": None}
+    assert Scenario.from_dict({"engine": "log", "faults": [fault]}).faults.events[0].at_ms is None
 
 
 def test_unknown_log_ack_mode_is_invalid():

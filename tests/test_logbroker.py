@@ -262,6 +262,89 @@ def test_fetch_gated_on_quorum_watermark():
     assert hw == 4
 
 
+def oracle_fetch(eng, topic, partition, offset, max_bytes):
+    """`fetch` as a plain walk: every record from `records_from`, decoded
+    one at a time, up to the high watermark and the byte budget."""
+    leader = eng._leader(eng._topic(topic).partitions[partition])
+    hw = eng.high_watermark(topic, partition)
+    out, used = [], 0
+    for off, rec in leader.records_from(offset):
+        if off >= hw or (out and used + len(rec) > max_bytes):
+            break
+        out.append(decode_record(rec)[1])
+        used += len(rec)
+    return out, hw
+
+
+FETCH_BUDGETS = (1, 40, 150, 600, 5000, 1 << 20)
+
+
+def assert_fetch_matches_oracle(eng, topic="t", partition=0):
+    """Every offset the leader accepts, under every budget and budgets that
+    end exactly on a record; returns how many of those fetches the budget
+    cut short of the watermark."""
+    leader = eng._leader(eng._topic(topic).partitions[partition])
+    cut = 0
+    for offset in range(leader.start_offset, leader.next_offset + 1):
+        whole = oracle_fetch(eng, topic, partition, offset, 1 << 30)[0]
+        sizes = [len(rec) for _, rec in itertools.islice(leader.records_from(offset), 3)]
+        for budget in (*FETCH_BUDGETS, *itertools.accumulate(sizes)):
+            want = oracle_fetch(eng, topic, partition, offset, budget)
+            assert eng.fetch(topic, partition, offset, max_bytes=budget) == want, (offset, budget)
+            cut += len(want[0]) < len(whole)
+    return cut
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fetch_equals_the_record_walk_over_sparse_multi_segment_logs(seed):
+    rng = random.Random(seed)
+    eng = make_engine()
+    eng.create_topic(TopicConfig(
+        "t", replication_factor=3, segment_bytes=400, flush=NO_TIME_FLUSH,
+        retention=RetentionPolicy(max_age_ms=None, max_messages=35),
+    ))
+    seq = 0
+    for _ in range(12):
+        batch = []
+        for _ in range(rng.randrange(1, 12)):
+            key = f"k{rng.randrange(25)}".encode()
+            batch.append(Message("f", seq, payload=bytes(rng.randrange(0, 160)), key=key,
+                                 headers={"i": seq} if seq % 3 else {}, produced_at=seq))
+            seq += 1
+        eng.append_batch("t", 0, batch, LogAckMode.ACKS_QUORUM)
+    eng.compact("t", 0)  # the surviving offsets are sparse
+    eng.append_batch("t", 0, msgs("f", seq, 20, payload=b"p" * 30, key=b"tail"),
+                     LogAckMode.ACKS_QUORUM)
+    eng.flush_all("t")
+    assert sum(eng.purge("t", now_ns=0).removed_per_partition.values()) > 0
+    leader = eng._leader(eng._topic("t").partitions[0])
+    assert leader.start_offset > 0 and len(leader.segments) > 3
+    assert leader.total_messages() < leader.next_offset - leader.start_offset
+    assert assert_fetch_matches_oracle(eng) > 0
+    end = leader.next_offset  # every offset is quorum-held: the watermark
+    assert eng.fetch("t", 0, end) == ([], end) == oracle_fetch(eng, "t", 0, end, 1)
+    eng.crash_node("n0")  # a follower leads, over its own copy of the segments
+    assert_fetch_matches_oracle(eng)
+
+
+def test_fetch_equals_the_record_walk_below_the_leaders_end():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=3, segment_bytes=200,
+                                 flush=NO_TIME_FLUSH))
+    eng.append_batch("t", 0, msgs("f", 0, 12, payload=b"q" * 50), LogAckMode.ACKS_QUORUM)
+    eng.crash_node("n1")
+    eng.crash_node("n2")  # both followers down: the leader runs ahead of the quorum
+    eng.append_batch("t", 0, msgs("f", 12, 9, payload=b"r" * 50), LogAckMode.ACKS_1)
+    hw = eng.high_watermark("t", 0)
+    assert hw == 12 and eng.next_offset("t", 0) == 21
+    for offset in (hw, 15, 21):
+        assert eng.fetch("t", 0, offset) == ([], hw)
+    assert_fetch_matches_oracle(eng)
+    # a first record larger than the budget is still returned
+    out, _ = eng.fetch("t", 0, 0, max_bytes=1)
+    assert [m.seq_no for m in out] == [0]
+
+
 def test_replay_returns_identical_bytes():
     eng = make_engine()
     eng.create_topic(TopicConfig("t"))
