@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -126,6 +126,22 @@ class Message:
  _set_headers, _set_produced_at, _set_ttl_ms) = (
     getattr(Message, name).__set__ for name in Message.__slots__
 )
+
+
+# The frozen `__setattr__`/`__delattr__` that `dataclass` generates for a
+# slotted class refer to the class from before `slots=True` rebuilt it, and
+# on some versions raise `TypeError` for a name that is not a field.  These
+# raise `FrozenInstanceError` for every name; `__init__` never calls them.
+def _frozen_setattr(self: Message, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Message, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Message.__setattr__ = _frozen_setattr  # type: ignore[method-assign]
+Message.__delattr__ = _frozen_delattr  # type: ignore[method-assign]
 
 
 def validate_message(msg: Message) -> None:

@@ -206,16 +206,22 @@ def match_topic(pattern: str, routing_key: str) -> bool:
 
 class _TopicNode:
     """One trie node: the state after matching a pattern prefix.  A node
-    reached through a "#" edge (`loops`) absorbs any further segment."""
+    reached through a "#" edge absorbs any further segment.
 
-    __slots__ = ("words", "star", "hash", "queues", "loops")
+    Once the trie is built, `closure` holds the node and every node its "#"
+    edges reach ("#" may match zero segments), and `any` the closed set of
+    nodes any segment leads to: the node itself if it absorbs, and the
+    closure of its "*" child."""
 
-    def __init__(self, loops: bool = False) -> None:
+    __slots__ = ("words", "star", "hash", "queues", "closure", "any")
+
+    def __init__(self, absorbs: bool = False) -> None:
         self.words: dict[str, _TopicNode] = {}
         self.star: Optional[_TopicNode] = None
         self.hash: Optional[_TopicNode] = None
-        self.queues: set[str] = set()
-        self.loops = loops
+        self.queues: frozenset[str] = frozenset()
+        self.closure: tuple[_TopicNode, ...] = (self,)
+        self.any: tuple[_TopicNode, ...] = (self,) if absorbs else ()
 
 
 class _TopicTrie:
@@ -230,45 +236,41 @@ class _TopicTrie:
             node = self.root
             for word in b.pattern.split(".") if b.pattern else ():
                 if word == "#":
-                    node.hash = node.hash or _TopicNode(loops=True)
+                    node.hash = node.hash or _TopicNode(absorbs=True)
                     node = node.hash
                 elif word == "*":
                     node.star = node.star or _TopicNode()
                     node = node.star
                 else:
                     node = node.words.setdefault(word, _TopicNode())
-            node.queues.add(b.queue)
+            node.queues |= {b.queue}
+        nodes = [self.root]
+        for node in nodes:  # breadth first: every node after its parent
+            nodes += node.words.values()
+            nodes += filter(None, (node.star, node.hash))
+        for node in reversed(nodes):  # children's closures first
+            if node.hash is not None:
+                node.closure += node.hash.closure
+            if node.star is not None:
+                node.any += node.star.closure
+        # a walk holds each node at most once; a longer step has repeats
+        self._bound = len(nodes)
 
-    def match(self, routing_key: str) -> set[str]:
-        active = _closure((self.root,))
+    def match(self, routing_key: Optional[str]) -> frozenset[str]:
+        active = self.root.closure
         for word in routing_key.split(".") if routing_key else ():
-            step = []
+            step: list[_TopicNode] = []
             for node in active:
-                if node.loops:
-                    step.append(node)
+                step += node.any
                 child = node.words.get(word)
                 if child is not None:
-                    step.append(child)
-                if node.star is not None:
-                    step.append(node.star)
+                    step += child.closure
             if not step:
-                return set()
-            active = _closure(step)
-        out: set[str] = set()
-        for node in active:
-            out |= node.queues
-        return out
-
-
-def _closure(nodes: Iterable[_TopicNode]) -> set[_TopicNode]:
-    """The nodes plus every node reachable by "#" edges: "#" may match
-    zero segments."""
-    out: set[_TopicNode] = set()
-    for node in nodes:
-        while node is not None and node not in out:
-            out.add(node)
-            node = node.hash
-    return out
+                return frozenset()
+            if len(step) > self._bound:
+                step = list(dict.fromkeys(step))
+            active = step
+        return frozenset().union(*[node.queues for node in active])
 
 
 # --------------------------------------------------------------------------
@@ -296,25 +298,24 @@ class _BodyStore:
         self._spilled_bytes = 0
         self._lock = threading.Lock()
 
-    def put(self, data: bytes) -> int:
+    def put(self, data: bytes, refs: int) -> int:
+        """Store a copy of `data` holding `refs` references, one for each
+        queue it is routed to; a queue that does not keep its entry gives
+        its reference back through `release`."""
         with self._lock:
             bid = self._next
             self._next += 1
             # ingest a real copy of the frame (bytes(b) would alias)
             body = _Body(memoryview(data).tobytes())
-            body.refs = 1  # the publisher's staging reference
+            body.refs = refs
             self._bodies[bid] = body
             self._live_bytes += len(body.data)
             return bid
 
-    def retain(self, bid: int) -> None:
-        with self._lock:
-            self._bodies[bid].refs += 1
-
-    def release(self, bid: int) -> None:
+    def release(self, bid: int, refs: int) -> None:
         with self._lock:
             body = self._bodies[bid]
-            body.refs -= 1
+            body.refs -= refs
             if body.refs <= 0:
                 del self._bodies[bid]
                 self._live_bytes -= len(body.data)
@@ -371,7 +372,9 @@ class _Entry:
         "spilled", "delivery_count", "deadline", "queued",
     )
 
-    def __init__(self, msg: Message, body_id: int, size: int, persistent: bool) -> None:
+    def __init__(
+        self, msg: Message, body_id: int, size: int, persistent: bool, deadline: Optional[int]
+    ) -> None:
         self.flow = msg.flow_id
         self.seq = msg.seq_no
         self.body_id = body_id
@@ -385,7 +388,7 @@ class _Entry:
         self.mirrored_on: Optional[set[str]] = None  # a set on mirrored queues only
         self.spilled = False
         self.delivery_count = 0
-        self.deadline: Optional[int] = None  # TTL expiry in clock ns, set by the queue
+        self.deadline = deadline  # TTL expiry in clock ns, from the first enqueue
         self.queued = False  # in its queue's `entries`, not delivered or dropped
 
 
@@ -412,7 +415,7 @@ class _Queue:
       the tail; only a retransmit takes the scan that finds its place or
       its duplicate;
     - `_deadlines` is a min-heap of (TTL deadline, insert number, entry),
-      pushed on every insert.  Items of entries that left the queue go
+      pushed on every insert of an entry with a deadline.  Items of entries that left the queue go
       stale and are skipped; a head pop takes its item with it when it is
       the heap's top, as it is when deadlines follow queue order, and the
       heap is rebuilt from queued entries past twice the depth;
@@ -463,9 +466,7 @@ class _Queue:
         entry.queued = True
         if not entry.spilled:
             self._mem += entry.size
-        ttl = entry.ttl_ms if entry.ttl_ms is not None else self.spec.default_ttl
-        if ttl is not None:
-            entry.deadline = entry.produced_at + ttl * 1_000_000
+        if entry.deadline is not None:
             heapq.heappush(self._deadlines, (entry.deadline, next(self._inserts), entry))
             if len(self._deadlines) > 2 * len(self.entries):
                 self._deadlines = [
@@ -548,46 +549,46 @@ class _Queue:
 
 
 class _Routes:
-    """One exchange's bindings, compiled for its kind when bound.  `bind`
-    builds a new table and swaps it in whole, so a concurrent `route` sees
-    either the old table or the new one."""
+    """One exchange's bindings, compiled for its kind when bound: `match`
+    is that kind's matcher over the compiled table.  `bind` builds a new
+    table and swaps it in whole, so a concurrent `route` sees either the old
+    table or the new one."""
 
     def __init__(self, kind: ExchangeKind, bindings: tuple) -> None:
-        self.kind = kind
         self.bindings = bindings
+        self.match: Callable[[Message], Iterable[str]]
         if kind is ExchangeKind.FANOUT:
-            self.queues = sorted({b.queue for b in bindings})
+            queues = frozenset(b.queue for b in bindings)
+            self.match = lambda msg: queues
         elif kind is ExchangeKind.DIRECT:
-            self.by_key: dict[Optional[str], set[str]] = {}
+            by_key: dict[Optional[str], frozenset[str]] = {}
             for b in bindings:
-                self.by_key.setdefault(b.key, set()).add(b.queue)
+                by_key[b.key] = by_key.get(b.key, frozenset()) | {b.queue}
+            self.match = lambda msg: by_key.get(msg.routing_key, ())
         elif kind is ExchangeKind.TOPIC:
-            self.trie = _TopicTrie(b for b in bindings if b.pattern is not None)
-        elif kind is ExchangeKind.CONSISTENT_HASH:
-            self.slots = [
+            trie = _TopicTrie(b for b in bindings if b.pattern is not None)
+            self.match = lambda msg: trie.match(msg.routing_key)
+        elif kind is ExchangeKind.HEADERS:
+            self.match = self._match_headers
+        else:
+            slots = [
                 b.queue for b in sorted(bindings, key=lambda b: b.queue) for _ in range(b.weight)
             ]
+            self.match = lambda msg: [
+                slots[stable_hash64((msg.routing_key or "").encode()) % len(slots)]
+            ]
 
-    def match(self, msg: Message) -> Iterable[str]:
-        if self.kind is ExchangeKind.FANOUT:
-            return self.queues
-        if self.kind is ExchangeKind.DIRECT:
-            return self.by_key.get(msg.routing_key, ())
-        if self.kind is ExchangeKind.TOPIC:
-            return self.trie.match(msg.routing_key or "")
-        if self.kind is ExchangeKind.HEADERS:
-            out = set()
-            for b in self.bindings:
-                if not b.header_match:
-                    continue
-                hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
-                if (b.match_mode is MatchMode.ALL and all(hits)) or (
-                    b.match_mode is MatchMode.ANY and any(hits)
-                ):
-                    out.add(b.queue)
-            return out
-        key = (msg.routing_key or "").encode()
-        return [self.slots[stable_hash64(key) % len(self.slots)]]
+    def _match_headers(self, msg: Message) -> set[str]:
+        out = set()
+        for b in self.bindings:
+            if not b.header_match:
+                continue
+            hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
+            if (b.match_mode is MatchMode.ALL and all(hits)) or (
+                b.match_mode is MatchMode.ANY and any(hits)
+            ):
+                out.add(b.queue)
+        return out
 
 
 @dataclass
@@ -657,6 +658,7 @@ class ExchEngine(BrokerContract):
         self._lock = threading.RLock()
         self._flow_cond = threading.Condition(self._lock)
         self._flow_blocked = False
+        self._pushers = 0  # PUSH consumers attached to any queue
         if spill_read_ns is None:
             spill_read_ns = SPILL_READ_NS if real else 0
         self.spill_read_ns = spill_read_ns
@@ -853,47 +855,58 @@ class ExchEngine(BrokerContract):
             return Confirm(ack=True, publish_seq=seq, routed_count=0, reason="unroutable")
 
         vh = self._vhost(channel.vhost)
-        body_id = self.bodies.put(msg.payload)
-        accepted = 0
+        targets: list[_Queue] = [vh.queues[name] for name in sorted(queues)]
+        size = len(msg.payload)
+        # one reference per target up front, so an ack on one queue cannot
+        # free the body before the next queue has its entry
+        body_id = self.bodies.put(msg.payload, len(targets))
+        now = self.clock()
+        kept = accepted = 0
         rejected = False
         try:
-            for qname in sorted(queues):
-                q: _Queue = vh.queues[qname]
+            for q in targets:
+                spec = q.spec
                 with q.lock:
                     if not q.available or not self.nodes[q.home_node].alive:
-                        raise BrokerDown(f"queue {qname} is down")
-                    self._expire_entries(q)
-                    if q.spec.max_length is not None and len(q.entries) >= q.spec.max_length:
-                        if q.spec.overflow is OverflowPolicy.REJECT_PUBLISH:
+                        raise BrokerDown(f"queue {spec.name} is down")
+                    self._drop(q.expire(now))
+                    if spec.max_length is not None and len(q.entries) >= spec.max_length:
+                        if spec.overflow is OverflowPolicy.REJECT_PUBLISH:
                             rejected = True
                             continue
-                        self.bodies.release(q.pop_head().body_id)
-                    entry = _Entry(msg, body_id, len(msg.payload), persistent)
+                        self.bodies.release(q.pop_head().body_id, 1)
+                    # RabbitMQ counts a TTL from enqueue: the entry keeps
+                    # this deadline when it is requeued or promoted
+                    ttl = spec.default_ttl if msg.ttl_ms is None else msg.ttl_ms
+                    deadline = None if ttl is None else now + ttl * 1_000_000
+                    entry = _Entry(msg, body_id, size, persistent, deadline)
                     # a duplicate retransmit is absorbed in place and counts
                     # as accepted
                     if q.insert(entry):
-                        self.bodies.retain(body_id)
-                        if persistent and q.spec.durable:
-                            self._fire_fault("before_fsync", qname)
+                        kept += 1
+                        if persistent and spec.durable:
+                            self._fire_fault("before_fsync", spec.name)
                             entry.fsynced = True
                             if self.fsync_latency_ns:
                                 spin_ns(self.fsync_latency_ns)
-                        if q.spec.mirrors:
+                        if spec.mirrors:
                             entry.mirrored_on = set()
-                            for m in q.spec.mirrors:
+                            for m in spec.mirrors:
                                 if self.nodes[m].alive:
                                     entry.mirrored_on.add(m)
                                     if self.mirror_sync_ns:
                                         spin_ns(self.mirror_sync_ns)
-                            if set(q.spec.mirrors) - entry.mirrored_on:
-                                raise BrokerDown(f"mirror of {qname} is down")
+                            if set(spec.mirrors) - entry.mirrored_on:
+                                raise BrokerDown(f"mirror of {spec.name} is down")
                         self._enforce_spill(q)
                     accepted += 1
         finally:
-            self.bodies.release(body_id)  # drop the staging reference
+            # the references of absorbed, rejected and unreached entries
+            if kept < len(targets):
+                self.bodies.release(body_id, len(targets) - kept)
 
-        for qname in sorted(queues):
-            self._pump(vh.queues[qname])
+        for q in targets:
+            self._pump(q)
         self._flow_update()
         if rejected:
             return Confirm(ack=False, publish_seq=seq, routed_count=accepted, reason="queue full")
@@ -917,6 +930,8 @@ class ExchEngine(BrokerContract):
             q.consumers[consumer_id] = _Consumer(consumer_id, mode, prefetch, auto_ack)
         handle = ConsumerHandle(self, vhost, queue, consumer_id)
         if mode is ConsumeMode.PUSH:
+            with self._lock:
+                self._pushers += 1
             self._pump(q)
             self._flow_update()
         return handle
@@ -925,10 +940,13 @@ class ExchEngine(BrokerContract):
         """Detach a consumer; its unacked deliveries go back to the queue."""
         q = self._queue(handle.vhost, handle.queue)
         with q.lock:
-            q.consumers.pop(handle.consumer_id, None)
+            cons = q.consumers.pop(handle.consumer_id, None)
             doomed = [tag for tag, (_, cid) in q.unacked.items() if cid == handle.consumer_id]
             for tag in doomed:
                 self._requeue(q, q.unacked.pop(tag)[0])
+        if cons is not None and cons.mode is ConsumeMode.PUSH:
+            with self._lock:
+                self._pushers -= 1
         self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
@@ -941,10 +959,11 @@ class ExchEngine(BrokerContract):
             cons = q.consumers.get(consumer_id)
             if cons is None:
                 raise ExchError(f"consumer {consumer_id} not attached to {queue}")
+            now = self.clock()
             for _ in range(max_n):
                 if not cons.auto_ack and cons.unacked >= cons.prefetch:
                     break
-                d = self._deliver_next(q, cons)
+                d = self._deliver_next(q, cons, now)
                 if d is None:
                     break
                 out.append(d)
@@ -977,7 +996,7 @@ class ExchEngine(BrokerContract):
             if requeue:
                 self._requeue(q, entry)
             else:
-                self.bodies.release(entry.body_id)
+                self.bodies.release(entry.body_id, 1)
         self._pump(q)
         self._flow_update()
 
@@ -998,7 +1017,7 @@ class ExchEngine(BrokerContract):
     def expire_ttl(self, queue: str, now: Optional[int] = None, vhost: str = "/") -> int:
         q = self._queue(vhost, queue)
         with q.lock:
-            expired = self._expire_entries(q, now)
+            expired = self._drop(q.expire(self.clock() if now is None else now))
         self._flow_update()
         return expired
 
@@ -1010,7 +1029,7 @@ class ExchEngine(BrokerContract):
                 while len(q.entries) > q.spec.max_length:
                     if q.spec.overflow is OverflowPolicy.REJECT_PUBLISH:
                         break
-                    self.bodies.release(q.pop_head().body_id)
+                    self.bodies.release(q.pop_head().body_id, 1)
                     dropped += 1
             spilled = self._enforce_spill(q)
         state = self._flow_update()
@@ -1037,8 +1056,8 @@ class ExchEngine(BrokerContract):
 
     # -- internals ----------------------------------------------------------
 
-    def _deliver_next(self, q: _Queue, cons: _Consumer) -> Optional[Delivery]:
-        self._expire_entries(q)
+    def _deliver_next(self, q: _Queue, cons: _Consumer, now: int) -> Optional[Delivery]:
+        self._drop(q.expire(now))
         if not q.entries:
             return None
         entry = q.pop_head()
@@ -1047,7 +1066,7 @@ class ExchEngine(BrokerContract):
         entry.delivery_count += 1
         delivery = self._delivery(q, entry, tag, cons.consumer_id, entry.delivery_count > 1)
         if cons.auto_ack:
-            self.bodies.release(entry.body_id)
+            self.bodies.release(entry.body_id, 1)
         else:
             q.unacked[tag] = (entry, cons.consumer_id)
             cons.unacked += 1
@@ -1067,15 +1086,10 @@ class ExchEngine(BrokerContract):
             payload, from_spill = self.bodies.read(entry.body_id)
         if from_spill and self.spill_read_ns:
             spin_ns(self.spill_read_ns)
+        # the consumer gets its own frame copy off the shared body
         message = Message(
-            flow_id=entry.flow,
-            seq_no=entry.seq,
-            # the consumer gets its own frame copy off the shared body
-            payload=memoryview(payload).tobytes(),
-            routing_key=entry.routing_key,
-            headers=entry.headers,
-            produced_at=entry.produced_at,
-            ttl_ms=entry.ttl_ms,
+            entry.flow, entry.seq, memoryview(payload).tobytes(), None,
+            entry.routing_key, entry.headers, entry.produced_at, entry.ttl_ms,
         )
         return Delivery(
             tag=tag,
@@ -1091,21 +1105,24 @@ class ExchEngine(BrokerContract):
         queued absorbs it."""
         entry.delivery_count += 1
         if not q.insert(entry):
-            self.bodies.release(entry.body_id)
+            self.bodies.release(entry.body_id, 1)
 
     def _drop(self, removed: list[_Entry]) -> int:
         """Release the bodies of entries taken out of their queue for good."""
         for e in removed:
-            self.bodies.release(e.body_id)
+            self.bodies.release(e.body_id, 1)
         return len(removed)
 
     def _pump(self, q: _Queue) -> None:
         """Push eager deliveries to PUSH consumers, round-robin, up to each
         consumer's prefetch."""
+        if not self._pushers:
+            return
         with q.lock:
             pushers = [c for c in q.consumers.values() if c.mode is ConsumeMode.PUSH]
             if not pushers:
                 return
+            now = self.clock()
             progress = True
             while progress and q.entries:
                 progress = False
@@ -1113,15 +1130,12 @@ class ExchEngine(BrokerContract):
                     cons = pushers[(q._rr + i) % len(pushers)]
                     if not cons.auto_ack and cons.unacked >= cons.prefetch:
                         continue
-                    d = self._deliver_next(q, cons)
+                    d = self._deliver_next(q, cons, now)
                     if d is not None:
                         cons.inbox.append(d)
                         q._rr = (q._rr + i + 1) % len(pushers)
                         progress = True
                         break
-
-    def _expire_entries(self, q: _Queue, now: Optional[int] = None) -> int:
-        return self._drop(q.expire(self.clock() if now is None else now))
 
     def _enforce_spill(self, q: _Queue) -> int:
         cap = q.spec.memory_cap_bytes

@@ -236,19 +236,43 @@ def routed(eng, exchange, rk):
 
 
 def test_topic_route_equals_match_topic_for_every_binding():
-    # as patterns: literals, wildcards and empty segments; as keys: the
-    # empty key, empty segments and a literal `*` or `#`
+    # as patterns: literals, wildcards and empty segments; as keys: every
+    # key of `all_keys`, the empty key, empty segments and a literal `*`
+    # or `#`
     patterns = sorted({".".join(p) for p in all_patterns(alphabet=("a", "b", "*", "#", ""))})
+    keys = sorted({".".join(k) for k in all_keys()} | set(patterns))
     eng = make_engine()
     eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
     for i, pattern in enumerate(patterns):
         eng.declare_queue(QueueSpec(f"q{i}"))
         eng.bind(BindingSpec("ex", f"q{i}", pattern=pattern))
     wrong = []
-    for key in patterns:
+    for key in keys:
         want = {f"q{i}" for i, p in enumerate(patterns) if match_topic(p, key)}
-        if routed(eng, "ex", key) != want:
+        try:
+            got = eng.route("ex", msg(rk=key))
+        except Unroutable:
+            got = None
+        if got != (want or None):
             wrong.append(key)
+    assert wrong == []
+
+
+def test_topic_route_of_a_lone_binding_equals_match_topic():
+    # alone in its trie, a pattern with several "#" leads a walk to the
+    # same node along many paths; the long key takes each "#" through
+    # many segments
+    keys = [".".join(k) for k in all_keys(max_len=6)] + [".".join("a" * 40)]
+    eng = make_engine()
+    eng.declare_queue(QueueSpec("q"))
+    patterns = [".".join(p) for p in all_patterns(max_len=4)] + ["#.a.#.a.#.a.#.a.#"]
+    wrong = []
+    for i, pattern in enumerate(patterns):
+        eng.declare_exchange(ExchangeSpec(f"x{i}", ExchangeKind.TOPIC))
+        eng.bind(BindingSpec(f"x{i}", "q", pattern=pattern))
+        for key in keys:
+            if (routed(eng, f"x{i}", key) == {"q"}) != match_topic(pattern, key):
+                wrong.append((pattern, key))
     assert wrong == []
 
 
@@ -426,6 +450,42 @@ def test_message_ttl_overrides_queue_default():
     assert eng.expire_ttl("q0") == 1  # the 10ms message is gone
     now[0] = 150 * 1_000_000
     assert eng.expire_ttl("q0") == 1
+
+
+def test_ttl_counts_from_enqueue_on_the_default_clock():
+    # the default clock counts from host boot while `produced_at` defaults
+    # to 0, so a TTL counted from production expires the message at once
+    eng = ExchEngine(3, latency_mode="none")
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", default_ttl=60_000))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    assert eng.publish(eng.channel(), "ex", msg(0, rk="k")).ack
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL)
+    assert [d.message.seq_no for d in cons.pull()] == [0]
+
+
+def test_requeued_entry_keeps_its_enqueue_deadline():
+    hour, ms = 3_600_000_000_000, 1_000_000
+    now = [hour]
+    eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none")
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", default_ttl=60_000))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    chan = eng.channel()
+    eng.publish(chan, "ex", msg(0, rk="k", produced_at=0))
+    eng.publish(chan, "ex", msg(1, rk="k", ttl=10, produced_at=0))
+    now[0] = hour + 5 * ms
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
+    held = cons.pull(10)
+    assert [d.message.seq_no for d in held] == [0, 1]
+    now[0] = hour + 50_000 * ms
+    for d in held:
+        cons.nack(d.tag, requeue=True)
+    assert eng.expire_ttl("q0") == 1  # seq 1's 10 ms ran out while delivered
+    now[0] = hour + 60_000 * ms
+    assert eng.expire_ttl("q0") == 0  # due only past its deadline
+    now[0] += 1
+    assert eng.expire_ttl("q0") == 1  # the requeue did not restart seq 0's TTL
 
 
 def test_no_ttl_expires_nothing():
@@ -709,6 +769,70 @@ def test_broker_deletes_state_after_full_ack_cycle():
         cons.ack(d.tag)
     assert eng.total_entries() == 0
     assert eng.bodies.count() == 0  # all shared bodies released
+
+
+@pytest.mark.parametrize(
+    "case", ["second_queue_down", "retransmit_absorbed", "reject_publish",
+             "drop_oldest_spill", "ack_before_second_copy"],
+)
+def test_every_unkept_body_reference_is_returned(case):
+    """A publish takes one body reference per routed queue up front; each
+    one a queue does not keep comes back, so a full drain frees every
+    body."""
+    eng = make_engine()
+    second = {
+        "reject_publish": QueueSpec("q1", max_length=1, overflow=OverflowPolicy.REJECT_PUBLISH),
+        "drop_oldest_spill": QueueSpec(
+            "q1", max_length=2, memory_cap_bytes=150, spill_to_disk=True
+        ),
+    }.get(case, QueueSpec("q1"))
+    # a publish reaches q0 first; q0's home is n0 and q1's n1
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.FANOUT))
+    eng.declare_queue(QueueSpec("q0", durable=True))
+    eng.declare_queue(second)
+    for q in ("q0", "q1"):
+        eng.bind(BindingSpec("ex", q))
+    chan = eng.channel()
+    consumers = [eng.consume(q, f"c-{q}", ConsumeMode.PULL, prefetch=100) for q in ("q0", "q1")]
+    delivered = []
+    if case == "second_queue_down":
+        eng.crash_node(home_node_of(eng, "q1"))
+        with pytest.raises(BrokerDown):
+            eng.publish(chan, "ex", msg(0, payload=b"a" * 100))
+        eng.restart_node(home_node_of(eng, "q1"))
+    elif case == "retransmit_absorbed":
+        eng.publish(chan, "ex", msg(0, payload=b"a" * 100))
+        for d in consumers[1].pull(10):
+            consumers[1].ack(d.tag)
+        assert eng.publish(chan, "ex", msg(0, payload=b"a" * 100)).routed_count == 2
+        assert eng.queue_depth("q0") == 1 and eng.queue_depth("q1") == 1
+    elif case == "reject_publish":
+        assert eng.publish(chan, "ex", msg(0, payload=b"a" * 100)).ack
+        assert not eng.publish(chan, "ex", msg(1, payload=b"b" * 100)).ack
+    elif case == "drop_oldest_spill":
+        for i in range(5):
+            eng.publish(chan, "ex", msg(i, payload=bytes([i]) * 100))
+        assert eng.queue_depth("q1") == 2 and eng.spilled_entry_count("q1") == 1
+    else:
+        # q0 is durable and the publish persistent: its fsync hook runs
+        # after q0 has its entry and before q1 has one
+        def ack_on_q0(phase, queue):
+            if phase == "before_fsync":
+                for d in consumers[0].pull(10):
+                    delivered.append(d.message.payload)
+                    consumers[0].ack(d.tag)
+
+        eng.fault_hook = ack_on_q0
+        eng.publish(chan, "ex", msg(0, payload=b"a" * 100), persistent=True)
+        eng.fault_hook = None
+        assert delivered == [b"a" * 100]
+    for cons in consumers:
+        for d in cons.pull(100):
+            delivered.append(d.message.payload)
+            cons.ack(d.tag)
+    assert delivered  # something was delivered
+    assert eng.total_entries() == 0
+    assert eng.bodies.count() == 0 and eng.payload_bytes() == 0
 
 
 # --------------------------------------------------------------------------
@@ -1094,9 +1218,17 @@ def test_threaded_publish_pull_ack_keeps_every_promise():
     assert eng.total_entries() == 0 and eng.bodies.count() == 0
 
 
-def publish_cpu_ns(depth, publishes=400, runs=5):
+def dead_patterns(n):
+    """`n` topic patterns no key "a.b" matches, of the shapes the bench's
+    dead bindings have."""
+    shapes = ("a.b.*.x{}", "a.b.#.x{}", "a.*.x{}", "#.x{}", "x{}.#", "x{}.*.*")
+    return [shapes[i % len(shapes)].format(i) for i in range(n)]
+
+
+def publish_cpu_ns(depth, bindings=1, publishes=400, runs=5):
     """Least thread CPU over `runs` runs of `publishes` publishes into a
-    full drop-oldest queue of `depth` entries with a TTL and spill."""
+    full drop-oldest queue of `depth` entries with a TTL and spill, through
+    a topic exchange with `bindings` bindings, all but one of them dead."""
     eng = make_engine()
     eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
     eng.declare_queue(QueueSpec(
@@ -1104,6 +1236,8 @@ def publish_cpu_ns(depth, publishes=400, runs=5):
         memory_cap_bytes=depth * 50, spill_to_disk=True,
     ))
     eng.bind(BindingSpec("ex", "audit", pattern="#"))
+    for pattern in dead_patterns(bindings - 1):
+        eng.bind(BindingSpec("ex", "audit", pattern=pattern))
     chan = eng.channel()
     seqs = itertools.count()
     for _ in range(depth):
@@ -1123,3 +1257,8 @@ def publish_cpu_ns(depth, publishes=400, runs=5):
 def test_publish_cost_is_flat_in_queue_depth():
     shallow, deep = publish_cpu_ns(1_000), publish_cpu_ns(16_000)
     assert deep < 3 * shallow, (shallow, deep)
+
+
+def test_publish_cost_is_flat_in_binding_count():
+    few, many = publish_cpu_ns(1_000), publish_cpu_ns(1_000, bindings=48)
+    assert many < 3 * few, (few, many)
