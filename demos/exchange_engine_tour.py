@@ -107,7 +107,7 @@ section("transactions buffer publishes; commit applies them in order")
 tx = engine.channel()
 tx.tx_select()
 for i in range(3):
-    engine.tx_publish(tx, "events", Message("txf", i, routing_key="metrics.tx"))
+    engine.publish(tx, "events", Message("txf", i, routing_key="metrics.tx"))
 result = engine.tx_commit(tx)
 print(f"applied {result.applied}/{result.total}, complete={result.complete} "
       "(a crash mid-commit would leave a strict prefix)")

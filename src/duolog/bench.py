@@ -19,7 +19,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -47,13 +47,15 @@ class EngineStartFailure(BenchError):
     pass
 
 
-SWEEP_PARAMS = (
-    "record_size",
-    "topics",
-    "partitions",
-    "replication",
-    "ack_mode",
-)
+# each sweep parameter and the WorkloadSpec field that it sets
+_SWEEP_FIELDS = {
+    "record_size": "record_size_bytes",
+    "topics": "topics",
+    "partitions": "partitions",
+    "replication": "replication_factor",
+    "ack_mode": "ack_mode",
+}
+SWEEP_PARAMS = tuple(_SWEEP_FIELDS)
 
 # messages per producer batch, for both engines
 PRODUCER_BATCH_MESSAGES = 10
@@ -113,19 +115,11 @@ class WorkloadSpec:
                 raise ValueError("duration must exceed warmup")
 
     def config_snapshot(self) -> dict:
-        return {
-            "producers": self.producers,
-            "consumers": self.consumers,
-            "record_size_bytes": self.record_size_bytes,
-            "topics": self.topics,
-            "partitions": self.partitions,
-            "replication_factor": self.replication_factor,
-            "delivery": self.delivery.value,
-            "ack_mode": self.ack_mode,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-        }
+        """Every field but the deterministic-mode cap, in field order."""
+        snap = asdict(self)
+        del snap["messages_per_producer"]
+        snap["delivery"] = self.delivery.value
+        return snap
 
 
 @dataclass(frozen=True)
@@ -173,34 +167,29 @@ class ThroughputSample:
     seed: int
 
     def row(self) -> dict:
-        return {
-            "engine": self.engine,
-            "sweep_param": self.sweep_param,
-            "sweep_value": self.sweep_value,
-            "pps": round(self.pps, 3),
-            "bps": round(self.bps, 3),
-            "mean_ms": round(self.latency.mean_ms, 6),
-            "p50_ms": round(self.latency.p50_ms, 6),
-            "p999_ms": round(self.latency.p999_ms, 6),
-            "max_ms": round(self.latency.max_ms, 6),
-            "seed": self.seed,
-        }
+        lat = self.latency
+        values = (
+            self.engine, self.sweep_param, self.sweep_value,
+            round(self.pps, 3), round(self.bps, 3),
+            round(lat.mean_ms, 6), round(lat.p50_ms, 6),
+            round(lat.p999_ms, 6), round(lat.max_ms, 6),
+            self.seed,
+        )
+        return dict(zip(EXPORT_COLUMNS, values, strict=True))
 
 
 # --------------------------------------------------------------------------
-# engine drivers
+# engine contexts
+#
+# A context is built from a resolved spec.  Each producer batch goes to
+# `next_lane(worker)`, which returns the lane and the routing key that the
+# batch's messages carry, and then to `publish_batch(worker, lane, batch)`;
+# `poll(worker)` returns (produced_at, payload length) per delivery.
 # --------------------------------------------------------------------------
-
-class LogDriver:
-    """Runs workloads against the partitioned log engine."""
-
-    name = "log"
-
-    def start(self, spec: WorkloadSpec) -> "_LogCtx":
-        return _LogCtx(spec)
-
 
 class _LogCtx:
+    """Runs workloads against the partitioned log engine."""
+
     def __init__(self, spec: WorkloadSpec) -> None:
         at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
         flush = (
@@ -243,11 +232,14 @@ class _LogCtx:
         for i, (t, p) in enumerate(lanes):
             self._consumer_lanes[i % spec.consumers].append((t, p, [0]))
 
-    def publish_batch(self, worker: int, batch: list[Message]) -> None:
+    def next_lane(self, worker: int) -> tuple[tuple[str, int], None]:
         rotor = self._producer_rotor[worker]
         self._producer_rotor[worker] += 1
         lanes = self._producer_lane[worker]
-        topic, partition = lanes[rotor % len(lanes)]
+        return lanes[rotor % len(lanes)], None
+
+    def publish_batch(self, worker: int, lane: tuple[str, int], batch: list[Message]) -> None:
+        topic, partition = lane
         self.engine.append_batch(topic, partition, batch, self.acks)
 
     def poll(self, worker: int) -> list[tuple[int, int]]:
@@ -258,20 +250,10 @@ class _LogCtx:
             out.extend((m.produced_at, len(m.payload)) for m in msgs)
         return out
 
-    def stop(self) -> None:
-        pass
-
-
-class ExchDriver:
-    """Runs workloads against the exchange engine."""
-
-    name = "exch"
-
-    def start(self, spec: WorkloadSpec) -> "_ExchCtx":
-        return _ExchCtx(spec)
-
 
 class _ExchCtx:
+    """Runs workloads against the exchange engine."""
+
     def __init__(self, spec: WorkloadSpec) -> None:
         self.at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
         self.engine = ExchEngine(max(3, spec.replication_factor), latency_mode="real")
@@ -305,14 +287,16 @@ class _ExchCtx:
                     )
             self.consumers.append(handles)
 
-    def publish_batch(self, worker: int, batch: list[Message]) -> None:
-        chan = self.channels[worker]
+    def next_lane(self, worker: int) -> tuple[str, str]:
         rotor = self._rotor[worker]
         self._rotor[worker] += 1
         ex, key, _ = self.queues[rotor % len(self.queues)]
+        return ex, key
+
+    def publish_batch(self, worker: int, lane: str, batch: list[Message]) -> None:
+        chan = self.channels[worker]
         for msg in batch:
-            routed = replace(msg, routing_key=key)
-            self.engine.publish(chan, ex, routed, persistent=self.at_least_once)
+            self.engine.publish(chan, lane, msg, persistent=self.at_least_once)
 
     def poll(self, worker: int) -> list[tuple[int, int]]:
         out = []
@@ -323,20 +307,10 @@ class _ExchCtx:
                 out.append((d.message.produced_at, len(d.message.payload)))
         return out
 
-    def stop(self) -> None:
-        pass
 
-
-DRIVERS = {"log": LogDriver(), "exch": ExchDriver()}
-
-
-def _resolve_driver(engine):
-    if isinstance(engine, str):
-        try:
-            return DRIVERS[engine]
-        except KeyError:
-            raise EngineStartFailure(f"unknown engine {engine!r}") from None
-    return engine
+# what `run_throughput` and `run_latency` accept by name; they also take any
+# callable from a resolved spec to a context
+ENGINES = {"log": _LogCtx, "exch": _ExchCtx}
 
 
 # --------------------------------------------------------------------------
@@ -358,10 +332,14 @@ class RunStats:
         return self.delivered_bytes / self.window_s
 
 
-def _run_once(driver, spec: WorkloadSpec) -> RunStats:
+def _run_once(engine, spec: WorkloadSpec) -> RunStats:
     spec = spec.resolved()
+    if isinstance(engine, str):
+        if engine not in ENGINES:
+            raise EngineStartFailure(f"unknown engine {engine!r}")
+        engine = ENGINES[engine]
     try:
-        ctx = driver.start(spec)
+        ctx = engine(spec)
     except Exception as e:  # engine-level setup problems surface uniformly
         raise EngineStartFailure(str(e)) from e
 
@@ -383,13 +361,14 @@ def _run_once(driver, spec: WorkloadSpec) -> RunStats:
         cap = spec.messages_per_producer
         while time.monotonic_ns() < end and (cap is None or seq < cap):
             n = batch_size if cap is None else min(batch_size, cap - seq)
+            lane, key = ctx.next_lane(w)
             now = time.monotonic_ns()
             batch = [
-                Message(flow, seq + i, payload=payload, produced_at=now)
+                Message(flow, seq + i, payload=payload, routing_key=key, produced_at=now)
                 for i in range(n)
             ]
             seq += n
-            ctx.publish_batch(w, batch)
+            ctx.publish_batch(w, lane, batch)
             produced_counts[w] = seq
 
     def consumer(w: int) -> None:
@@ -421,7 +400,6 @@ def _run_once(driver, spec: WorkloadSpec) -> RunStats:
         t.start()
     for t in threads:
         t.join()
-    ctx.stop()
 
     window_s = (end - warmup_end) / 1e9
     merged: list[int] = []
@@ -439,38 +417,32 @@ def _run_once(driver, spec: WorkloadSpec) -> RunStats:
 def run_latency(engine, spec: WorkloadSpec) -> LatencySummary:
     """Per-message latency (production to delivery) over the post-warmup
     window; raises NoSamples when nothing was delivered in it."""
-    driver = _resolve_driver(engine)
-    stats = _run_once(driver, spec)
+    stats = _run_once(engine, spec)
     return summarize_latencies(stats.samples_ns)
 
 
 def _apply_sweep(spec: WorkloadSpec, param: str, value) -> WorkloadSpec:
-    if param == "record_size":
-        return replace(spec, record_size_bytes=int(value))
-    if param == "topics":
-        return replace(spec, topics=int(value))
-    if param == "partitions":
-        return replace(spec, partitions=int(value))
-    if param == "replication":
-        return replace(spec, replication_factor=int(value))
-    if param == "ack_mode":
+    field = _SWEEP_FIELDS.get(param)
+    if field is None:
+        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+    if field == "ack_mode":
         value = str(value)
         if value in ("at_most_once", "at_least_once"):
-            return replace(spec, delivery=Delivery(value))
-        return replace(spec, ack_mode=value)
-    raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+            field, value = "delivery", Delivery(value)
+    else:
+        value = int(value)
+    return replace(spec, **{field: value})
 
 
 def run_throughput(engine, spec: WorkloadSpec, sweep: tuple[str, list]) -> list[ThroughputSample]:
     """One sample per sweep point, each from an independent run with a fresh
     engine; producers run saturating loops."""
     param, values = sweep
-    driver = _resolve_driver(engine)
     # every point is validated before any is measured
     points = [_apply_sweep(spec, param, value).resolved() for value in values]
     out = []
     for value, point in zip(values, points):
-        stats = _run_once(driver, point)
+        stats = _run_once(engine, point)
         try:
             latency = summarize_latencies(stats.samples_ns)
         except NoSamples:
@@ -478,7 +450,7 @@ def run_throughput(engine, spec: WorkloadSpec, sweep: tuple[str, list]) -> list[
         reported_pps = min(stats.pps(), stats.produced / stats.window_s)
         out.append(
             ThroughputSample(
-                engine=getattr(driver, "name", str(engine)),
+                engine=str(getattr(engine, "name", engine)),
                 sweep_param=param,
                 sweep_value=value,
                 pps=reported_pps,
@@ -584,7 +556,7 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def export(results: list[ThroughputSample], path, format: str = "CSV") -> None:
+def export(results: list[ThroughputSample], path, format: str) -> None:
     """Write results with the stable column order; refuses empty inputs and
     never leaves a partial file behind (`atomic_write`)."""
     if not results:

@@ -806,11 +806,6 @@ class ExchEngine(BrokerContract):
             return None
         return self._do_publish(channel, exchange, msg, persistent)
 
-    def tx_publish(self, channel: Channel, exchange: str, msg: Message, persistent: bool = False) -> None:
-        if not channel.tx_mode:
-            raise NotInTx("tx_publish before tx_select")
-        channel.tx_buffer.append(("publish", exchange, msg, persistent))
-
     def tx_ack(self, channel: Channel, queue: str, tag: int) -> None:
         if not channel.tx_mode:
             raise NotInTx("tx_ack before tx_select")

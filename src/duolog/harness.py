@@ -40,6 +40,7 @@ from .exchbroker import (
     ExchEngine,
     ExchangeKind,
     ExchangeSpec,
+    UnknownTag,
     _queue_spec,
 )
 from .logbroker import ACK_MODES, LogEngine, OffsetOutOfRange, TopicConfig
@@ -123,6 +124,16 @@ class FaultEvent:
         return _from_keys(cls, d, "fault", kind=FaultKind)
 
 
+# the fault kinds that each trigger injects; the run never consults any
+# other pair.  An exchange duplicates the delivery in hand, so it has no
+# duplicate to make on a time trigger.
+_TRIGGERED_KINDS = {
+    "produce": {FaultKind.CRASH_NODE, FaultKind.DROP_ACK, FaultKind.DELAY_ACK},
+    "deliver": {FaultKind.CRASH_NODE, FaultKind.CRASH_CONSUMER, FaultKind.DUPLICATE_DELIVER},
+    "time": {FaultKind.CRASH_NODE, FaultKind.CRASH_CONSUMER, FaultKind.DUPLICATE_DELIVER},
+}
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     events: tuple = ()
@@ -186,8 +197,15 @@ class Scenario:
             if self.engine == "exch" and self.workload.producers != 1:
                 raise ScenarioInvalid("global single lane needs one channel feeding one queue")
         for ev in self.faults.events:
-            if ev.on not in ("produce", "deliver", "time"):
+            kinds = _TRIGGERED_KINDS.get(ev.on)
+            if kinds is None:
                 raise ScenarioInvalid(f"unresolvable fault trigger {ev.on!r}")
+            if ev.kind not in kinds or (
+                ev.on == "time" and self.engine == "exch" and ev.kind is FaultKind.DUPLICATE_DELIVER
+            ):
+                raise ScenarioInvalid(f"a {ev.kind.value} fault never fires on {ev.on!r}")
+            if ev.on == "time" and ev.at_ms is None:
+                raise ScenarioInvalid("a fault on 'time' needs at_ms")
 
     def to_dict(self) -> dict:
         return {
@@ -684,7 +702,10 @@ class _LogMember(_Consumer):
             if interrupted:
                 break
             if scn.at_least_once:
-                scn.engine.commit_offset(scn.group, self.consumer_id, scn.topic, p, new_pos)
+                try:
+                    scn.engine.commit_offset(scn.group, self.consumer_id, scn.topic, p, new_pos)
+                except BrokerDown:
+                    pass  # a node crash mid-batch: keep the position, as Kafka does
 
 
 # --------------------------------------------------------------------------
@@ -777,7 +798,10 @@ class _ExchConsumer(_Consumer):
                         scn.apply_fault(ev)
                 if self.crashed:
                     break  # unacked deliveries were requeued by the crash
-                self.handle.ack(d.tag)
+                try:
+                    self.handle.ack(d.tag)
+                except UnknownTag:
+                    break  # a node crash requeued the batch and voided its tags
                 run.record_acked(flow, seq)
             else:
                 # auto-acked at pull: ownership moved before processing

@@ -1,10 +1,10 @@
-"""Seed-stable 64-bit hashing shared by the log partitioner and the
+"""Stable 64-bit hashing shared by the log partitioner and the
 consistent-hash exchange.
 
-The hash is FNV-1a over the input bytes with the seed folded in as eight
-little-endian bytes up front.  It is a fixed, documented function: the same
-(seed, data) pair maps to the same value on every platform, interpreter and
-run, which is what makes golden partition-assignment tests possible.
+The hash is FNV-1a over the input bytes.  It is a fixed, documented
+function: the same data maps to the same value on every platform,
+interpreter and run, which is what makes golden partition-assignment tests
+possible.
 """
 
 from __future__ import annotations
@@ -14,21 +14,10 @@ _FNV64_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def stable_hash64(data: bytes, seed: int = 0) -> int:
-    """FNV-1a 64-bit hash of `data`, perturbed by `seed`."""
+def stable_hash64(data: bytes) -> int:
+    """FNV-1a 64-bit hash of `data`."""
     h = _FNV64_OFFSET
-    if seed:
-        for b in (seed & _MASK64).to_bytes(8, "little"):
-            h ^= b
-            h = (h * _FNV64_PRIME) & _MASK64
     for b in data:
         h ^= b
         h = (h * _FNV64_PRIME) & _MASK64
     return h
-
-
-def bucket_for(data: bytes, n_buckets: int, seed: int = 0) -> int:
-    """Map `data` onto one of `n_buckets` buckets via the stable hash."""
-    if n_buckets < 1:
-        raise ValueError("n_buckets must be >= 1")
-    return stable_hash64(data, seed) % n_buckets

@@ -275,7 +275,9 @@ class Segment:
 
     Offsets may be sparse after compaction.  Record `bytes` are immutable,
     so every replica of a partition holds the same objects; `size_bytes`
-    still counts each segment's logical bytes.
+    still counts each segment's logical bytes.  A segment is never empty:
+    `append_encoded` makes one only to append to it, and
+    `truncate_to_flushed` drops any that it empties.
     """
 
     __slots__ = ("base_offset", "offsets", "records", "size_bytes")
@@ -320,7 +322,7 @@ class Replica:
         "segments", "next_offset", "flushed_up_to", "last_flush_ns", "start_offset",
     )
 
-    def __init__(self, node_id: str, topic: str = "", partition: int = 0) -> None:
+    def __init__(self, node_id: str, topic: str, partition: int) -> None:
         self.node_id = node_id
         self.topic = topic
         self.partition = partition
@@ -346,7 +348,7 @@ class Replica:
             tail.size_bytes += size
         else:
             for offset, rec in zip(offsets, records):
-                if tail is None or (tail.count > 0 and tail.size_bytes + len(rec) > segment_bytes):
+                if tail is None or tail.size_bytes + len(rec) > segment_bytes:
                     tail = Segment(offset)
                     self.segments.append(tail)
                 tail.offsets.append(offset)
@@ -362,7 +364,7 @@ class Replica:
 
     def records_from(self, offset: int) -> Iterator[tuple[int, bytes]]:
         for seg in self.segments:
-            if seg.count == 0 or seg.last_offset < offset:
+            if seg.last_offset < offset:
                 continue
             i = bisect_left(seg.offsets, offset)
             yield from zip(seg.offsets[i:], seg.records[i:])
@@ -372,8 +374,6 @@ class Replica:
         lost = 0
         keep: list[Segment] = []
         for seg in self.segments:
-            if seg.count == 0:
-                continue
             if seg.last_offset < self.flushed_up_to:
                 keep.append(seg)
             else:
@@ -423,7 +423,7 @@ class ConsumerGroup:
 def partition_for(key: Optional[bytes], n_partitions: int, rotation: int = 0) -> int:
     """Pick a partition for a message key.
 
-    Keyed messages hash deterministically (seed-stable across runs and
+    Keyed messages hash deterministically (stable across runs and
     processes); keyless messages rotate round-robin using the caller-held
     `rotation` counter.
     """
@@ -717,9 +717,6 @@ class LogEngine(BrokerContract):
                 n = 0
                 while leader.segments:
                     seg = leader.segments[0]
-                    if seg.count == 0:
-                        leader.segments.pop(0)
-                        continue
                     if seg.last_offset >= leader.flushed_up_to:
                         break  # protects the unflushed tail region
                     if not self._retention_violated(leader, t.config.retention, now):
@@ -856,15 +853,11 @@ class LogEngine(BrokerContract):
         d = self.data_dir / rep.node_id / rep.topic / str(rep.partition)
         d.mkdir(parents=True, exist_ok=True)
         for seg in rep.segments:
-            if seg.count == 0:
-                continue
             tmp = d / f".{seg.base_offset:020d}.seg.tmp"
             tmp.write_bytes(b"".join(seg.records))
             tmp.replace(d / f"{seg.base_offset:020d}.seg")
 
     def _retention_violated(self, rep: Replica, pol: RetentionPolicy, now: int) -> bool:
-        if not rep.segments or rep.segments[0].count == 0:
-            return False
         if pol.max_messages is not None and rep.total_messages() > pol.max_messages:
             return True
         if pol.max_bytes is not None and rep.total_bytes() > pol.max_bytes:
@@ -880,8 +873,7 @@ class LogEngine(BrokerContract):
         for rep in part.replicas:
             for i, seg in enumerate(rep.segments):
                 if seg.base_offset == base_offset:
-                    if seg.count:
-                        rep.start_offset = max(rep.start_offset, seg.last_offset + 1)
+                    rep.start_offset = max(rep.start_offset, seg.last_offset + 1)
                     rep.segments.pop(i)
                     break
 

@@ -71,13 +71,14 @@ def test_adding_high_sample_never_lowers_percentiles():
 
 
 # --------------------------------------------------------------------------
-# synthetic drivers
+# synthetic engines
 # --------------------------------------------------------------------------
 
 class SyntheticDriver:
-    """Fabricates deliveries with a controlled latency; optionally slow only
-    during the warmup window (with a safety margin so boundary drift cannot
-    leak slow samples into the measured window)."""
+    """A context factory whose contexts fabricate deliveries with a
+    controlled latency; optionally slow only during the warmup window (with
+    a safety margin so boundary drift cannot leak slow samples into the
+    measured window)."""
 
     name = "synthetic"
 
@@ -86,7 +87,7 @@ class SyntheticDriver:
         self.warmup_latency_ns = warmup_latency_ns
         self.fabricate = fabricate
 
-    def start(self, spec):
+    def __call__(self, spec):
         outer = self
 
         class Ctx:
@@ -95,7 +96,10 @@ class SyntheticDriver:
                 self.slow_until = t0 + int(spec.warmup_s * 1e9) - 50_000_000
                 self.produced = 0
 
-            def publish_batch(self, worker, batch):
+            def next_lane(self, worker):
+                return None, None
+
+            def publish_batch(self, worker, lane, batch):
                 self.produced += len(batch)
                 time.sleep(0.001)
 
@@ -106,9 +110,6 @@ class SyntheticDriver:
                 if outer.warmup_latency_ns is not None and now < self.slow_until:
                     lat = outer.warmup_latency_ns
                 return [(now - lat, spec.record_size_bytes)] * outer.fabricate
-
-            def stop(self):
-                pass
 
         return Ctx()
 
@@ -140,8 +141,8 @@ def test_warmup_exclusion():
 
 def test_zero_post_warmup_samples():
     class DeadDriver(SyntheticDriver):
-        def start(self, spec):
-            ctx = super().start(spec)
+        def __call__(self, spec):
+            ctx = super().__call__(spec)
             ctx.poll = lambda worker: []
             return ctx
 
@@ -204,10 +205,32 @@ def test_engines_move_messages_under_load(engine):
     )
     samples = run_throughput(engine, spec, ("record_size", [64]))
     (sample,) = samples
+    assert sample.engine == engine
     assert sample.pps > 100, sample
     assert sample.latency.sample_count > 50
     # fixed-size workload: bytes track packets
     assert abs(sample.bps - sample.pps * 64) / (sample.pps * 64) < 0.01
+
+
+@pytest.mark.parametrize("engine, key", [("log", None), ("exch", "k0")])
+def test_messages_carry_their_lanes_routing_key_as_built(engine, key):
+    from duolog.bench import ENGINES
+    from duolog.core import Message
+
+    ctx = ENGINES[engine](WorkloadSpec(duration_s=1.0, warmup_s=0.2).resolved())
+    lane, got = ctx.next_lane(0)
+    assert got == key
+    ctx.publish_batch(0, lane, [Message("p0", 0, payload=b"ab", routing_key=key, produced_at=5)])
+    assert ctx.poll(0) + ctx.poll(1) == [(5, 2)]
+
+
+def test_config_snapshot_keys():
+    snap = WorkloadSpec(messages_per_producer=3).config_snapshot()
+    assert list(snap) == [
+        "producers", "consumers", "record_size_bytes", "topics", "partitions",
+        "replication_factor", "delivery", "ack_mode", "duration_s", "warmup_s", "seed",
+    ]
+    assert snap["delivery"] == "at_most_once"
 
 
 # --------------------------------------------------------------------------

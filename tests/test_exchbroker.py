@@ -639,7 +639,7 @@ def test_tx_commit_applies_all():
     chan = direct_setup(eng)
     chan.tx_select()
     for i in range(3):
-        eng.tx_publish(chan, "ex", msg(i, rk="k"))
+        eng.publish(chan, "ex", msg(i, rk="k"))
     result = eng.tx_commit(chan)
     assert result.complete and result.applied == 3
     assert eng.queue_depth("q0") == 3
@@ -650,7 +650,7 @@ def test_tx_crash_mid_commit_leaves_prefix():
     chan = direct_setup(eng)
     chan.tx_select()
     for i in range(5):
-        eng.tx_publish(chan, "ex", msg(i, rk="k"))
+        eng.publish(chan, "ex", msg(i, rk="k"))
     calls = [0]
 
     def boom(phase, target):
@@ -666,6 +666,39 @@ def test_tx_crash_mid_commit_leaves_prefix():
     assert result.applied == 2  # a strict prefix, not an atomic all-or-nothing
     cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
     assert [d.message.seq_no for d in cons.pull(10)] == [0, 1]
+
+
+@pytest.mark.parametrize("crash_at_ack", [False, True])
+def test_tx_commit_applies_publish_ack_publish_in_order(crash_at_ack):
+    eng = make_engine()
+    chan = direct_setup(eng)
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
+    (held,) = cons.pull(10)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(1, rk="k"))
+    eng.tx_ack(chan, "q0", held.tag)
+    eng.publish(chan, "ex", msg(2, rk="k"))
+    calls = [0]
+
+    def boom(phase, target):
+        if phase == "tx_commit_op":
+            calls[0] += 1
+            if crash_at_ack and calls[0] == 2:  # the ack
+                raise BrokerDown("injected")
+
+    eng.fault_hook = boom
+    result = eng.tx_commit(chan)
+    eng.fault_hook = None
+    if crash_at_ack:
+        # only the first publish landed: the held delivery is still unacked
+        assert (result.applied, result.complete) == (1, False)
+        assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (1, 1)
+        assert [d.message.seq_no for d in cons.pull(10)] == [1]
+    else:
+        assert (result.applied, result.complete) == (3, True)
+        assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (2, 0)
+        assert [d.message.seq_no for d in cons.pull(10)] == [1, 2]
 
 
 def test_tx_commit_without_select():

@@ -155,6 +155,20 @@ def test_node_crash_at_least_once_with_quorum_survives():
     assert verdict(res.report, s.qos).passed
 
 
+@pytest.mark.parametrize("engine, producers, messages", [("log", 1, 6), ("exch", 2, 12)])
+def test_node_crash_on_a_delivery_keeps_the_run_going(engine, producers, messages):
+    # the log's only replica goes down before the member commits; the
+    # exchange's home node goes down and voids the tags in hand
+    s = Scenario.from_dict({
+        "engine": engine, "seed": 0,
+        "workload": {"producers": producers, "messages_per_producer": messages},
+        "faults": [{"kind": "crash_node", "on": "deliver", "index": 1}],
+    })
+    res = run_scenario(s)
+    assert res.report.no_loss
+    assert verdict(res.report, s.qos).passed
+
+
 def test_per_partition_ordering_with_faults_stays_ordered():
     faults = [
         FaultEvent(FaultKind.DROP_ACK, on="produce", index=4),
@@ -347,6 +361,34 @@ def test_scenario_validation():
                  qos=QoSConfig())
     with pytest.raises(ScenarioInvalid):
         run_scenario(s)
+
+
+@pytest.mark.parametrize("engine, fault", [
+    ("log", {"kind": "drop_ack", "on": "deliver"}),
+    ("exch", {"kind": "delay_ack", "on": "deliver"}),
+    ("log", {"kind": "drop_ack", "on": "time", "at_ms": 1}),
+    ("exch", {"kind": "delay_ack", "on": "time", "at_ms": 1}),
+    ("log", {"kind": "duplicate_deliver", "on": "produce"}),
+    ("exch", {"kind": "crash_consumer", "on": "produce"}),
+    ("exch", {"kind": "duplicate_deliver", "on": "time", "at_ms": 1}),
+    ("log", {"kind": "crash_node", "on": "time"}),
+])
+def test_faults_that_never_fire_are_invalid(engine, fault):
+    s = Scenario.from_dict({"engine": engine, "faults": [fault]})
+    with pytest.raises(ScenarioInvalid):
+        run_scenario(s)
+
+
+def test_every_fault_that_fires_is_valid():
+    pairs = [("produce", k) for k in ("crash_node", "drop_ack", "delay_ack")]
+    pairs += [(on, k) for on in ("deliver", "time")
+              for k in ("crash_node", "crash_consumer", "duplicate_deliver")]
+    for engine in ("log", "exch"):
+        for on, kind in pairs:
+            if (engine, on, kind) == ("exch", "time", "duplicate_deliver"):
+                continue
+            fault = {"kind": kind, "on": on, "index": 2, "at_ms": 1 if on == "time" else None}
+            Scenario.from_dict({"engine": engine, "faults": [fault]}).validate()
 
 
 def test_global_single_lane_validation():

@@ -1,37 +1,17 @@
 """Golden values pin the hash: it must never change between runs or releases,
 or partition assignments of keyed flows would silently move."""
 
-from duolog.hashing import bucket_for, stable_hash64
+from duolog.hashing import stable_hash64
 
 # frozen from the first computation; any change here is a breaking change
 GOLDEN = {
-    (b"", 0): 0xCBF29CE484222325,
-    (b"a", 0): 0xAF63DC4C8601EC8C,
-    (b"user42", 0): 0xF7F68BAA7501E4C0,
-    (b"user42", 7): 0x545E4D082CA78CE3,
-    (b"a.b.c", 0): 0x066327B5131E437F,
+    b"": 0xCBF29CE484222325,
+    b"a": 0xAF63DC4C8601EC8C,
+    b"user42": 0xF7F68BAA7501E4C0,
+    b"a.b.c": 0x066327B5131E437F,
 }
 
 
 def test_golden_vectors():
-    for (data, seed), expected in GOLDEN.items():
-        assert stable_hash64(data, seed) == expected, (data, seed)
-
-
-def test_seed_changes_value():
-    assert stable_hash64(b"x", 1) != stable_hash64(b"x", 2)
-
-
-def test_bucket_range_and_determinism():
-    for key in [b"user42", b"", b"\x00\xff", b"k" * 100]:
-        b1 = bucket_for(key, 4)
-        b2 = bucket_for(key, 4)
-        assert b1 == b2
-        assert 0 <= b1 < 4
-
-
-def test_bucket_rejects_zero_buckets():
-    import pytest
-
-    with pytest.raises(ValueError):
-        bucket_for(b"k", 0)
+    for data, expected in GOLDEN.items():
+        assert stable_hash64(data) == expected, data
