@@ -234,12 +234,10 @@ class Journal:
     appends, the lock here covers multi-worker benchmark use.
     """
 
-    def __init__(self, entries: Iterable[JournalEntry] = ()) -> None:
+    def __init__(self) -> None:
         self._entries: list[JournalEntry] = []
         self._last_at: dict[str, int] = {}
         self._lock = threading.Lock()
-        for e in entries:
-            self.append(e.flow, e.seq, e.event, e.at_ns)
 
     def append(self, flow: str, seq: int, event: JournalEvent, at_ns: int) -> None:
         with self._lock:
@@ -471,9 +469,6 @@ class BrokerContract:
         self.nodes: dict[str, SimNode] = {nid: SimNode(nid) for nid in node_ids}
         self.clock = clock
         self.fault_hook: Optional[Callable[..., None]] = None
-
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
 
     def _node(self, node_id: str) -> SimNode:
         node = self.nodes.get(node_id)

@@ -164,13 +164,6 @@ class Delivery:
 
 
 @dataclass(frozen=True)
-class LimitAction:
-    dropped: int = 0
-    spilled: int = 0
-    flow_control: str = "none"  # none | engaged | released
-
-
-@dataclass(frozen=True)
 class TxResult:
     applied: int
     total: int
@@ -368,12 +361,12 @@ class _BodyStore:
 class _Entry:
     __slots__ = (
         "flow", "seq", "body_id", "size", "headers", "routing_key",
-        "produced_at", "ttl_ms", "persistent", "fsynced", "mirrored_on",
+        "produced_at", "ttl_ms", "fsynced", "mirrored_on",
         "spilled", "delivery_count", "deadline", "queued",
     )
 
     def __init__(
-        self, msg: Message, body_id: int, size: int, persistent: bool, deadline: Optional[int]
+        self, msg: Message, body_id: int, size: int, deadline: Optional[int]
     ) -> None:
         self.flow = msg.flow_id
         self.seq = msg.seq_no
@@ -383,7 +376,6 @@ class _Entry:
         self.routing_key = msg.routing_key
         self.produced_at = msg.produced_at
         self.ttl_ms = msg.ttl_ms
-        self.persistent = persistent
         self.fsynced = False
         self.mirrored_on: Optional[set[str]] = None  # a set on mirrored queues only
         self.spilled = False
@@ -431,7 +423,6 @@ class _Queue:
         self.consumers: dict[str, _Consumer] = {}
         self._rr: int = 0
         self.lock = threading.RLock()
-        self.spilled_ever = False
         self.available = True
         self._mem = 0
         self._spill_cursor = 0
@@ -518,12 +509,12 @@ class _Queue:
             return []
         return self.remove(lambda e: e.deadline is not None and e.deadline < now)
 
-    def spill(self, cap: int, spill_body: Callable[[int], int]) -> int:
+    def spill(self, cap: int, spill_body: Callable[[int], int]) -> None:
         """Spill the oldest unspilled entries until at most `cap` bytes stay
-        in memory; returns how many were spilled.  `_mem` drops by each
-        entry's size, but the loop counts only the bytes `spill_body` moved:
-        a body another queue already spilled moves none."""
-        mem, spilled, i = self._mem, 0, self._spill_cursor
+        in memory.  `_mem` drops by each entry's size, but the loop counts
+        only the bytes `spill_body` moved: a body another queue already
+        spilled moves none."""
+        mem, i = self._mem, self._spill_cursor
         while mem > cap and i < len(self.entries):
             e = self.entries[i]
             i += 1
@@ -532,13 +523,7 @@ class _Queue:
             mem -= spill_body(e.body_id)
             e.spilled = True
             self._mem -= e.size
-            self.spilled_ever = True
-            spilled += 1
         self._spill_cursor = i
-        return spilled
-
-    def memory_bytes(self) -> int:
-        return self._mem
 
     def _forget(self, entry: _Entry) -> None:
         entry.queued = False
@@ -648,7 +633,6 @@ class ExchEngine(BrokerContract):
         super().__init__(nodes, clock)
         self.vhosts: dict[str, _VHost] = {}
         self.bodies = _BodyStore()
-        self.latency_mode = latency_mode
         real = latency_mode == "real"
         self.fsync_latency_ns = FSYNC_LATENCY_NS if real else 0
         self.mirror_sync_ns = MIRROR_SYNC_NS if real else 0
@@ -708,15 +692,6 @@ class ExchEngine(BrokerContract):
 
     def payload_bytes(self) -> int:
         return self.bodies.live_payload_bytes() + self.bodies.spilled_bytes()
-
-    def total_entries(self) -> int:
-        n = 0
-        with self._lock:
-            for vh in self.vhosts.values():
-                for q in vh.queues.values():
-                    with q.lock:
-                        n += len(q.entries) + len(q.unacked)
-        return n
 
     # -- declarations ----------------------------------------------------------
 
@@ -874,7 +849,7 @@ class ExchEngine(BrokerContract):
                     # this deadline when it is requeued or promoted
                     ttl = spec.default_ttl if msg.ttl_ms is None else msg.ttl_ms
                     deadline = None if ttl is None else now + ttl * 1_000_000
-                    entry = _Entry(msg, body_id, size, persistent, deadline)
+                    entry = _Entry(msg, body_id, size, deadline)
                     # a duplicate retransmit is absorbed in place and counts
                     # as accepted
                     if q.insert(entry):
@@ -893,7 +868,8 @@ class ExchEngine(BrokerContract):
                                         spin_ns(self.mirror_sync_ns)
                             if set(spec.mirrors) - entry.mirrored_on:
                                 raise BrokerDown(f"mirror of {spec.name} is down")
-                        self._enforce_spill(q)
+                        if spec.memory_cap_bytes is not None and spec.spill_to_disk:
+                            q.spill(spec.memory_cap_bytes, self.bodies.spill)
                     accepted += 1
         finally:
             # the references of absorbed, rejected and unreached entries
@@ -1007,28 +983,14 @@ class ExchEngine(BrokerContract):
                 return None
             return self._delivery(q, entry, tag, cid, redelivered=True)
 
-    # -- TTL and limits ----------------------------------------------------------
+    # -- TTL and queue counts ----------------------------------------------------
 
-    def expire_ttl(self, queue: str, now: Optional[int] = None, vhost: str = "/") -> int:
+    def expire_ttl(self, queue: str, vhost: str = "/") -> int:
         q = self._queue(vhost, queue)
         with q.lock:
-            expired = self._drop(q.expire(self.clock() if now is None else now))
+            expired = self._drop(q.expire(self.clock()))
         self._flow_update()
         return expired
-
-    def enforce_limits(self, queue: str, vhost: str = "/") -> LimitAction:
-        q = self._queue(vhost, queue)
-        dropped = spilled = 0
-        with q.lock:
-            if q.spec.max_length is not None:
-                while len(q.entries) > q.spec.max_length:
-                    if q.spec.overflow is OverflowPolicy.REJECT_PUBLISH:
-                        break
-                    self.bodies.release(q.pop_head().body_id, 1)
-                    dropped += 1
-            spilled = self._enforce_spill(q)
-        state = self._flow_update()
-        return LimitAction(dropped=dropped, spilled=spilled, flow_control=state)
 
     def queue_depth(self, queue: str, vhost: str = "/") -> int:
         q = self._queue(vhost, queue)
@@ -1044,10 +1006,6 @@ class ExchEngine(BrokerContract):
         q = self._queue(vhost, queue)
         with q.lock:
             return sum(1 for e in q.entries if e.spilled)
-
-    def has_spilled(self, queue: str, vhost: str = "/") -> bool:
-        q = self._queue(vhost, queue)
-        return q.spilled_ever
 
     # -- internals ----------------------------------------------------------
 
@@ -1132,12 +1090,6 @@ class ExchEngine(BrokerContract):
                         progress = True
                         break
 
-    def _enforce_spill(self, q: _Queue) -> int:
-        cap = q.spec.memory_cap_bytes
-        if cap is None or not q.spec.spill_to_disk:
-            return 0
-        return q.spill(cap, self.bodies.spill)
-
     def _flow_gate(self) -> None:
         if self.memory_budget_bytes is None:
             return
@@ -1146,27 +1098,20 @@ class ExchEngine(BrokerContract):
                 self._flow_cond.wait(timeout=0.05)
                 self._flow_refresh()
 
-    def _flow_update(self) -> str:
-        if self.memory_budget_bytes is None:
-            return "none"
-        with self._flow_cond:
-            return self._flow_refresh()
+    def _flow_update(self) -> None:
+        if self.memory_budget_bytes is not None:
+            with self._flow_cond:
+                self._flow_refresh()
 
-    def _flow_refresh(self) -> str:
+    def _flow_refresh(self) -> None:
         used = self.bodies.live_payload_bytes()
         high = 0.8 * self.memory_budget_bytes
         low = 0.6 * self.memory_budget_bytes
         if not self._flow_blocked and used > high:
             self._flow_blocked = True
-            return "engaged"
-        if self._flow_blocked and used < low:
+        elif self._flow_blocked and used < low:
             self._flow_blocked = False
             self._flow_cond.notify_all()
-            return "released"
-        return "engaged" if self._flow_blocked else "none"
-
-    def flow_control_engaged(self) -> bool:
-        return self._flow_blocked
 
     def _vhost(self, vhost: str) -> _VHost:
         vh = self.vhosts.get(vhost)

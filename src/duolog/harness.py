@@ -116,6 +116,14 @@ class FaultEvent:
     delay_ms: int = 5                # DELAY_ACK
     down_ms: int = 20                # CRASH_NODE / CRASH_CONSUMER outage
 
+    def __post_init__(self) -> None:
+        if min(self.index, self.delay_ms, self.down_ms) < 0 or (
+            self.at_ms is not None and self.at_ms < 0
+        ):
+            raise ScenarioInvalid(
+                f"fault: index, at_ms, delay_ms and down_ms must be >= 0, got {self}"
+            )
+
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value}
 
@@ -174,6 +182,15 @@ class Workload:
     record_size_bytes: int = 16
     messages_per_producer: int = 10
 
+    def __post_init__(self) -> None:
+        if min(self.producers, self.consumers, self.messages_per_producer) < 1 or (
+            self.record_size_bytes < 0
+        ):
+            raise ScenarioInvalid(
+                "workload: producers, consumers and messages_per_producer must be >= 1"
+                f" and record_size_bytes >= 0, got {self}"
+            )
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -187,6 +204,13 @@ class Scenario:
     seed: int = 0
     drain_deadline_ms: int = 5000
     retry_limit: int = 5
+
+    def __post_init__(self) -> None:
+        if min(self.drain_deadline_ms, self.retry_limit) < 0:
+            raise ScenarioInvalid(
+                "scenario: drain_deadline_ms and retry_limit must be >= 0, got "
+                f"drain_deadline_ms={self.drain_deadline_ms}, retry_limit={self.retry_limit}"
+            )
 
     def validate(self) -> None:
         if self.engine not in ("log", "exch"):
@@ -204,6 +228,8 @@ class Scenario:
                 ev.on == "time" and self.engine == "exch" and ev.kind is FaultKind.DUPLICATE_DELIVER
             ):
                 raise ScenarioInvalid(f"a {ev.kind.value} fault never fires on {ev.on!r}")
+            if ev.kind is FaultKind.DUPLICATE_DELIVER and self.qos.delivery is Delivery.AT_MOST_ONCE:
+                raise ScenarioInvalid("a duplicate_deliver fault never fires under at_most_once")
             if ev.on == "time" and ev.at_ms is None:
                 raise ScenarioInvalid("a fault on 'time' needs at_ms")
 
@@ -618,10 +644,10 @@ class _LogScenario(_Scenario):
         }
 
     def crash_target(self) -> Optional[str]:
-        return next((n for n in self.engine.node_ids() if self.engine.nodes[n].alive), None)
+        return next((n for n, node in self.engine.nodes.items() if node.alive), None)
 
     def apply_fault(self, ev: FaultEvent) -> None:
-        if ev.kind is FaultKind.DUPLICATE_DELIVER and self.at_least_once:
+        if ev.kind is FaultKind.DUPLICATE_DELIVER:
             self.consumer(ev.target).rewind_once = True
         else:
             super().apply_fault(ev)

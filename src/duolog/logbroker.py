@@ -256,13 +256,12 @@ def iter_records(buf: bytes) -> Iterator[tuple[int, Message]]:
         yield offset, msg
 
 
-def record_key(buf: bytes, pos: int = 0) -> tuple[int, Optional[bytes], int]:
-    """Offset, key and next_pos of the record at `pos`, without a full decode."""
-    (payload_len, header_len, offset, _, _, _, _,
-     flow_len, key_len, _, _) = _RECORD.unpack_from(buf, pos)
-    start = pos + _RECORD.size + (0 if flow_len == _NONE_LEN else flow_len)
+def record_key(buf: bytes) -> tuple[int, Optional[bytes]]:
+    """Offset and key of the record `buf`, without a full decode."""
+    (_, _, offset, _, _, _, _, flow_len, key_len, _, _) = _RECORD.unpack_from(buf)
+    start = _RECORD.size + (0 if flow_len == _NONE_LEN else flow_len)
     key = None if key_len == _NONE_LEN else buf[start:start + key_len]
-    return offset, key, pos + _RECORD_HEADER.size + header_len + payload_len
+    return offset, key
 
 
 # --------------------------------------------------------------------------
@@ -411,7 +410,6 @@ class Topic:
 @dataclass
 class ConsumerGroup:
     group_id: str
-    members: list[str] = field(default_factory=list)
     assignment: dict = field(default_factory=dict)   # (topic, partition) -> member
     committed: dict = field(default_factory=dict)    # (topic, partition) -> offset
 
@@ -673,7 +671,6 @@ class LogEngine(BrokerContract):
         members = sorted(member_ids)
         with self._lock:
             group = self.groups.setdefault(group_id, ConsumerGroup(group_id))
-            group.members = members
             assignment = {}
             for p in range(t.config.partitions):
                 owner = members[p % len(members)]
@@ -705,11 +702,11 @@ class LogEngine(BrokerContract):
 
     # -- retention / compaction ----------------------------------------------
 
-    def purge(self, topic: str, now_ns: Optional[int] = None) -> PurgeReport:
+    def purge(self, topic: str) -> PurgeReport:
         """Drop oldest whole segments until every active retention bound
         holds; the tail segment's unflushed region is never dropped."""
         t = self._topic(topic)
-        now = self.clock() if now_ns is None else now_ns
+        now = self.clock()
         removed: dict[int, int] = {}
         for part in t.partitions:
             with part.lock:
@@ -740,7 +737,7 @@ class LogEngine(BrokerContract):
             total = 0
             for seg in leader.segments:
                 for rec in seg.records:
-                    off, key, _ = record_key(rec)
+                    off, key = record_key(rec)
                     if key is None:
                         raise KeylessMessage(f"offset {off} has no key")
                     last_per_key[key] = off

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from duolog.cli import main
+from duolog.harness import Scenario
 
 GOOD_SCENARIO = {
     "engine": "exch",
@@ -85,6 +86,34 @@ def test_verify_lossy_configuration_fails(tmp_path, capsys, lossy):
 def test_verify_rejects_a_bad_scenario_file(tmp_path, capsys, bad, named):
     assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, name, minimum", [
+    ("workload", "producers", 1),
+    ("workload", "consumers", 1),
+    ("workload", "messages_per_producer", 1),
+    ("workload", "record_size_bytes", 0),
+    ("fault", "index", 0),
+    ("fault", "at_ms", 0),
+    ("fault", "delay_ms", 0),
+    ("fault", "down_ms", 0),
+    ("scenario", "drain_deadline_ms", 0),
+    ("scenario", "retry_limit", 0),
+])
+def test_verify_rejects_an_integer_below_its_minimum(tmp_path, capsys, section, name, minimum):
+    def scenario(value):
+        fault = {"kind": "crash_node", "on": "time", "at_ms": 5, "down_ms": 5}
+        if section == "fault":
+            return dict(GOOD_SCENARIO, faults=[dict(fault, **{name: value})])
+        if section == "workload":
+            return dict(GOOD_SCENARIO, workload=dict(GOOD_SCENARIO["workload"], **{name: value}))
+        return dict(GOOD_SCENARIO, **{name: value})
+
+    for value in (minimum - 1, -50):
+        assert main(["verify", write_json(tmp_path / "s.json", scenario(value))]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}: " in err and f"{name}={value}" in err and "must be >=" in err
+    Scenario.from_dict(scenario(minimum)).validate()  # the minimum itself is valid
 
 
 def test_verify_missing_file():

@@ -215,7 +215,7 @@ def test_journal_entries_are_named_tuples_and_a_snapshot():
     with pytest.raises(ValueError):
         j.append("f", 2, P, 9)
     assert len(j) == 2  # a rejected append leaves no entry behind
-    assert Journal(j.entries) == j
+    assert Journal.from_jsonl(j.to_jsonl()) == j
 
 
 def test_phase_event_fields_by_name():

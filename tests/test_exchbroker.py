@@ -51,6 +51,11 @@ def msg(seq=0, flow="f", rk=None, payload=b"x", headers=None, ttl=None, produced
     )
 
 
+def held_entries(engine, *queues):
+    """Entries the queues still hold, queued or delivered and unacked."""
+    return sum(engine.queue_depth(q) + engine.unacked_count(q) for q in queues)
+
+
 def direct_setup(engine, queues=("q0",), key="k"):
     engine.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
     for q in queues:
@@ -523,7 +528,7 @@ def test_max_length_reject_publish_nacks():
     assert not third.ack
 
 
-def test_spill_keeps_order_and_sets_flag():
+def test_spill_keeps_order_and_marks_entries():
     eng = make_engine(spill_read_ns=0)
     eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
     eng.declare_queue(QueueSpec("q0", memory_cap_bytes=1024, spill_to_disk=True))
@@ -531,7 +536,6 @@ def test_spill_keeps_order_and_sets_flag():
     chan = eng.channel()
     for i in range(10):
         eng.publish(chan, "ex", msg(i, rk="k", payload=b"z" * 200))
-    assert eng.has_spilled("q0")
     assert eng.spilled_entry_count("q0") >= 1
     cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=100)
     got = cons.pull(100)
@@ -573,11 +577,11 @@ def test_flow_control_engages_and_releases():
     chan = direct_setup(eng)
     for i in range(9):
         eng.publish(chan, "ex", msg(i, rk="k", payload=b"y" * 100))
-    assert eng.flow_control_engaged()  # above the 80% watermark
+    assert eng._flow_blocked  # above the 80% watermark
     cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=100)
     for d in cons.pull(100):
         cons.ack(d.tag)
-    assert not eng.flow_control_engaged()  # drained below the 60% watermark
+    assert not eng._flow_blocked  # drained below the 60% watermark
 
 
 def test_flow_control_blocks_publisher_thread_until_drained():
@@ -588,7 +592,7 @@ def test_flow_control_blocks_publisher_thread_until_drained():
     chan = direct_setup(eng)
     for i in range(9):
         eng.publish(chan, "ex", msg(i, rk="k", payload=b"y" * 100))
-    assert eng.flow_control_engaged()
+    assert eng._flow_blocked
 
     unblocked = threading.Event()
     chan2 = eng.channel()
@@ -614,7 +618,7 @@ def test_flow_control_releases_when_memory_is_freed_without_ack(free):
     chan = direct_setup(eng)
     for i in range(9):
         eng.publish(chan, "ex", msg(i, rk="k", payload=b"y" * 100, ttl=1))
-    assert eng.flow_control_engaged()
+    assert eng._flow_blocked
     cons = eng.consume(
         "q0", "c1", ConsumeMode.PULL, prefetch=100, auto_ack=free == "auto_ack_pull"
     )
@@ -627,7 +631,7 @@ def test_flow_control_releases_when_memory_is_freed_without_ack(free):
     else:
         assert len(cons.pull(100)) == 9
     assert eng.bodies.live_payload_bytes() == 0
-    assert not eng.flow_control_engaged()
+    assert not eng._flow_blocked
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +761,7 @@ def test_crash_before_fsync_loses_entry_and_retransmit_lands_once():
     assert [d.message.seq_no for d in cons.pull(10)] == [0]
 
 
-def test_enforce_limits_repairs_overlength_after_requeue():
+def test_requeue_may_grow_a_queue_past_max_length():
     eng = make_engine()
     eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
     eng.declare_queue(QueueSpec("q0", max_length=3))
@@ -772,9 +776,8 @@ def test_enforce_limits_repairs_overlength_after_requeue():
     for d in held:  # requeue grows the queue past its bound
         cons.nack(d.tag, requeue=True)
     assert eng.queue_depth("q0") == 6
-    action = eng.enforce_limits("q0")
-    assert action.dropped == 3
-    assert eng.queue_depth("q0") == 3
+    # nothing is dropped: the requeued entries keep their per-flow places
+    assert [d.message.seq_no for d in cons.pull(10)] == list(range(6))
 
 
 def test_mirror_promotion_keeps_accepted_entries():
@@ -800,7 +803,7 @@ def test_broker_deletes_state_after_full_ack_cycle():
     cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
     for d in cons.pull(10):
         cons.ack(d.tag)
-    assert eng.total_entries() == 0
+    assert held_entries(eng, "q0") == 0
     assert eng.bodies.count() == 0  # all shared bodies released
 
 
@@ -864,7 +867,7 @@ def test_every_unkept_body_reference_is_returned(case):
             delivered.append(d.message.payload)
             cons.ack(d.tag)
     assert delivered  # something was delivered
-    assert eng.total_entries() == 0
+    assert held_entries(eng, "q0", "q1") == 0
     assert eng.bodies.count() == 0 and eng.payload_bytes() == 0
 
 
@@ -996,7 +999,6 @@ class ListQueue:
         self.consumers = {}
         self._rr = 0
         self.lock = threading.RLock()
-        self.spilled_ever = False
         self.available = True
 
     def insert(self, entry):
@@ -1029,8 +1031,7 @@ class ListQueue:
         return self.remove(expired)
 
     def spill(self, cap, spill_body):
-        spilled = 0
-        mem = self.memory_bytes()
+        mem = self._mem
         for e in self.entries:
             if mem <= cap:
                 break
@@ -1038,11 +1039,9 @@ class ListQueue:
                 continue
             mem -= spill_body(e.body_id)
             e.spilled = True
-            self.spilled_ever = True
-            spilled += 1
-        return spilled
 
-    def memory_bytes(self):
+    @property
+    def _mem(self):
         return sum(e.size for e in self.entries if not e.spilled)
 
 
@@ -1085,10 +1084,9 @@ def observe(eng):
         q = eng._queue("/", name)
         state.append((
             [(e.flow, e.seq) for e in q.entries],
-            q.memory_bytes(),
+            q._mem,
             eng.spilled_entry_count(name),
             eng.unacked_count(name),
-            eng.has_spilled(name),
         ))
     return state
 
@@ -1113,8 +1111,6 @@ def apply(eng, op):
             return eng.nack(queue, tag, requeue=requeue)
         if kind == "expire":
             return eng.expire_ttl(*args)
-        if kind == "limits":
-            return eng.enforce_limits(*args)
         if kind == "crash":
             return eng.crash_node(*args)
         return eng.restart_node(*args)
@@ -1152,8 +1148,6 @@ def random_op(rng, state, now):
     if roll < 0.86:
         now[0] += rng.choice((1, 2, 10)) * 1_000_000
         return ("expire", rng.choice(("q0", "side")))
-    if roll < 0.9:
-        return ("limits", rng.choice(("q0", "side")))
     if roll < 0.95 and len(state["down"]) < 2:
         node = rng.choice([n for n in ("n0", "n1", "n2") if n not in state["down"]])
         state["down"].add(node)
@@ -1248,7 +1242,8 @@ def test_threaded_publish_pull_ack_keeps_every_promise():
         report = check_correctness(produced, consumed, qos)
         assert report.violations == ()
     assert len(work) == len(audit) == flows * per_flow
-    assert eng.total_entries() == 0 and eng.bodies.count() == 0
+    queues = ["audit"] + [f"w{i}" for i in range(flows)]
+    assert held_entries(eng, *queues) == 0 and eng.bodies.count() == 0
 
 
 def dead_patterns(n):

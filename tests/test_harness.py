@@ -363,18 +363,25 @@ def test_scenario_validation():
         run_scenario(s)
 
 
-@pytest.mark.parametrize("engine, fault", [
-    ("log", {"kind": "drop_ack", "on": "deliver"}),
-    ("exch", {"kind": "delay_ack", "on": "deliver"}),
-    ("log", {"kind": "drop_ack", "on": "time", "at_ms": 1}),
-    ("exch", {"kind": "delay_ack", "on": "time", "at_ms": 1}),
-    ("log", {"kind": "duplicate_deliver", "on": "produce"}),
-    ("exch", {"kind": "crash_consumer", "on": "produce"}),
-    ("exch", {"kind": "duplicate_deliver", "on": "time", "at_ms": 1}),
-    ("log", {"kind": "crash_node", "on": "time"}),
+AT_MOST_ONCE = {"delivery": "at_most_once"}
+
+
+@pytest.mark.parametrize("engine, fault, qos", [
+    ("log", {"kind": "drop_ack", "on": "deliver"}, {}),
+    ("exch", {"kind": "delay_ack", "on": "deliver"}, {}),
+    ("log", {"kind": "drop_ack", "on": "time", "at_ms": 1}, {}),
+    ("exch", {"kind": "delay_ack", "on": "time", "at_ms": 1}, {}),
+    ("log", {"kind": "duplicate_deliver", "on": "produce"}, {}),
+    ("exch", {"kind": "crash_consumer", "on": "produce"}, {}),
+    ("exch", {"kind": "duplicate_deliver", "on": "time", "at_ms": 1}, {}),
+    ("log", {"kind": "crash_node", "on": "time"}, {}),
+    # at most once, neither engine makes a second copy of a delivery
+    ("log", {"kind": "duplicate_deliver", "on": "deliver", "index": 2}, AT_MOST_ONCE),
+    ("exch", {"kind": "duplicate_deliver", "on": "deliver", "index": 2}, AT_MOST_ONCE),
+    ("log", {"kind": "duplicate_deliver", "on": "time", "at_ms": 1}, AT_MOST_ONCE),
 ])
-def test_faults_that_never_fire_are_invalid(engine, fault):
-    s = Scenario.from_dict({"engine": engine, "faults": [fault]})
+def test_faults_that_never_fire_are_invalid(engine, fault, qos):
+    s = Scenario.from_dict({"engine": engine, "faults": [fault], "qos": qos})
     with pytest.raises(ScenarioInvalid):
         run_scenario(s)
 

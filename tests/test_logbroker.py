@@ -89,7 +89,7 @@ def test_record_codec_round_trips_every_field_combination(key, rk, headers, ttl)
     )
     rec = encode_record(2**40, m)
     assert decode_record(rec) == (2**40, m, len(rec))
-    assert record_key(rec) == (2**40, key, len(rec))
+    assert record_key(rec) == (2**40, key)
 
 
 def test_record_codec_walks_concatenated_records():
@@ -99,11 +99,6 @@ def test_record_codec_walks_concatenated_records():
     ]
     buf = b"".join(encode_record(10 + i, m) for i, m in enumerate(batch))
     assert list(iter_records(buf)) == [(10 + i, m) for i, m in enumerate(batch)]
-    pos, keys = 0, []
-    while pos < len(buf):
-        _, key, pos = record_key(buf, pos)
-        keys.append(key)
-    assert keys == [m.key for m in batch]
 
 
 def test_record_codec_rejects_unknown_version():
@@ -316,7 +311,7 @@ def test_fetch_equals_the_record_walk_over_sparse_multi_segment_logs(seed):
     eng.append_batch("t", 0, msgs("f", seq, 20, payload=b"p" * 30, key=b"tail"),
                      LogAckMode.ACKS_QUORUM)
     eng.flush_all("t")
-    assert sum(eng.purge("t", now_ns=0).removed_per_partition.values()) > 0
+    assert sum(eng.purge("t").removed_per_partition.values()) > 0
     leader = eng._leader(eng._topic("t").partitions[0])
     assert leader.start_offset > 0 and len(leader.segments) > 3
     assert leader.total_messages() < leader.next_offset - leader.start_offset
@@ -454,8 +449,9 @@ def one_message_segments(retention, n=25):
 
 
 def test_purge_count_bound_keeps_newest():
-    eng, _ = one_message_segments(RetentionPolicy(max_age_ms=None, max_messages=10))
-    report = eng.purge("t", now_ns=100)
+    eng, clock = one_message_segments(RetentionPolicy(max_age_ms=None, max_messages=10))
+    clock[0] = 100
+    report = eng.purge("t")
     assert report.removed_per_partition == {0: 15}
     out, _ = eng.fetch("t", 0, 15)
     assert [m.seq_no for m in out] == list(range(15, 25))
@@ -464,13 +460,15 @@ def test_purge_count_bound_keeps_newest():
 
 
 def test_purge_noop_when_bounds_hold():
-    eng, _ = one_message_segments(RetentionPolicy(max_age_ms=None, max_messages=100))
-    assert eng.purge("t", now_ns=100).removed_per_partition == {0: 0}
+    eng, clock = one_message_segments(RetentionPolicy(max_age_ms=None, max_messages=100))
+    clock[0] = 100
+    assert eng.purge("t").removed_per_partition == {0: 0}
 
 
 def test_purge_age_zero_drops_everything_flushed():
-    eng, _ = one_message_segments(RetentionPolicy(max_age_ms=0))
-    report = eng.purge("t", now_ns=10_000_000)
+    eng, clock = one_message_segments(RetentionPolicy(max_age_ms=0))
+    clock[0] = 10_000_000
+    report = eng.purge("t")
     assert report.removed_per_partition == {0: 25}
     assert eng.next_offset("t", 0) == 25
     out, _ = eng.fetch("t", 0, 25)
@@ -491,14 +489,16 @@ def test_purge_never_touches_unflushed_tail():
     for i in range(5):
         eng.append_batch("t", 0, [Message("f", i, payload=b"x", produced_at=i)])
     # nothing flushed: even max_age=0 must not drop the unflushed tail
-    assert eng.purge("t", now_ns=10_000_000).removed_per_partition == {0: 0}
+    clock[0] = 10_000_000
+    assert eng.purge("t").removed_per_partition == {0: 0}
     out, _ = eng.fetch("t", 0, 0)
     assert len(out) == 5
 
 
 def test_purge_byte_bound():
-    eng, _ = one_message_segments(RetentionPolicy(max_age_ms=None, max_bytes=1))
-    report = eng.purge("t", now_ns=100)
+    eng, clock = one_message_segments(RetentionPolicy(max_age_ms=None, max_bytes=1))
+    clock[0] = 100
+    report = eng.purge("t")
     assert report.removed_per_partition[0] >= 24
 
 
