@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .core import Delivery, FlushPolicy, Message
+from .core import Delivery, Message, QoSConfig
 from .exchbroker import (
     BindingSpec,
     ConsumeMode,
@@ -32,7 +32,8 @@ from .exchbroker import (
     ExchangeSpec,
     QueueSpec,
 )
-from .logbroker import ACK_MODES, LogAckMode, LogEngine, TopicConfig
+from .harness import build_exch_engine, build_log_engine
+from .logbroker import ACK_MODES
 
 
 class BenchError(Exception):
@@ -114,6 +115,9 @@ class WorkloadSpec:
             if self.duration_s <= self.warmup_s:
                 raise ValueError("duration must exceed warmup")
 
+    def qos(self) -> QoSConfig:
+        return QoSConfig(delivery=self.delivery, replication_factor=self.replication_factor)
+
     def config_snapshot(self) -> dict:
         """Every field but the deterministic-mode cap, in field order."""
         snap = asdict(self)
@@ -178,10 +182,29 @@ class ThroughputSample:
         return dict(zip(EXPORT_COLUMNS, values, strict=True))
 
 
+def topology(spec: WorkloadSpec) -> dict:
+    """A bench point's engine settings as a scenario file's `topology`: the one
+    place a `WorkloadSpec` becomes them.  The log reads `partitions`, `ack_mode`,
+    the flush bounds and `producer_batch`; the exchange, `durable` and `mirrors`."""
+    at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
+    return {
+        "partitions": spec.partitions,
+        # replication is only meaningful when acks wait on the replicas
+        "ack_mode": "quorum" if spec.replication_factor >= 2 else spec.ack_mode,
+        # at-least-once flushes every message: a confirm implies durability
+        "flush_messages": 1 if at_least_once else 10_000,
+        "flush_ms": None if at_least_once else 1000,
+        "producer_batch": PRODUCER_BATCH_MESSAGES,
+        "durable": at_least_once,
+        "mirrors": [f"n{i}" for i in range(1, spec.replication_factor)],
+    }
+
+
 # --------------------------------------------------------------------------
 # engine contexts
 #
-# A context is built from a resolved spec.  Each producer batch goes to
+# A context builds its engine from a resolved spec through `topology` and a
+# harness builder, with modeled device costs on.  Each producer batch goes to
 # `next_lane(worker)`, which returns the lane and the routing key that the
 # batch's messages carry, and then to `publish_batch(worker, lane, batch)`;
 # `poll(worker)` returns (produced_at, payload length) per delivery.
@@ -191,52 +214,22 @@ class _LogCtx:
     """Runs workloads against the partitioned log engine."""
 
     def __init__(self, spec: WorkloadSpec) -> None:
-        at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
-        flush = (
-            FlushPolicy(flush_interval_messages=1, flush_interval_ms=None)
-            if at_least_once
-            else FlushPolicy(flush_interval_messages=10_000, flush_interval_ms=1000)
+        topics = [f"bench-{t}" for t in range(spec.topics)]
+        self.engine, self.acks = build_log_engine(
+            topology(spec), spec.qos(), time.monotonic_ns, True, topics
         )
-        self.engine = LogEngine(
-            max(3, spec.replication_factor),
-            fsync_latency_ns=30_000 if at_least_once else 0,
-            replica_ack_rtt_ns=100_000,
-        )
-        self.topics = []
-        for t in range(spec.topics):
-            name = f"bench-{t}"
-            self.engine.create_topic(
-                TopicConfig(
-                    name,
-                    partitions=spec.partitions,
-                    replication_factor=spec.replication_factor,
-                    flush=flush,
-                )
-            )
-            self.topics.append(name)
-        if spec.replication_factor >= 2:
-            # replication is only meaningful when acks wait on the replicas
-            self.acks = LogAckMode.ACKS_QUORUM
-        else:
-            self.acks = ACK_MODES[spec.ack_mode]
-        lanes = [(t, p) for t in self.topics for p in range(spec.partitions)]
-        self._producer_lane = [
-            [lanes[i % len(lanes)] for i in range(w, w + len(lanes))]
-            for w in range(spec.producers)
-        ]
-        self._producer_rotor = [0] * spec.producers
+        self.lanes = [(t, p) for t in topics for p in range(spec.partitions)]
+        # producer w starts at lane w
+        self._producer_rotor = list(range(spec.producers))
         # partitions dealt round-robin over consumer workers
-        self._consumer_lanes: list[list[tuple[str, int, list[int]]]] = [
-            [] for _ in range(spec.consumers)
-        ]
-        for i, (t, p) in enumerate(lanes):
+        self._consumer_lanes = [[] for _ in range(spec.consumers)]
+        for i, (t, p) in enumerate(self.lanes):
             self._consumer_lanes[i % spec.consumers].append((t, p, [0]))
 
     def next_lane(self, worker: int) -> tuple[tuple[str, int], None]:
         rotor = self._producer_rotor[worker]
         self._producer_rotor[worker] += 1
-        lanes = self._producer_lane[worker]
-        return lanes[rotor % len(lanes)], None
+        return self.lanes[rotor % len(self.lanes)], None
 
     def publish_batch(self, worker: int, lane: tuple[str, int], batch: list[Message]) -> None:
         topic, partition = lane
@@ -256,36 +249,21 @@ class _ExchCtx:
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
-        self.engine = ExchEngine(max(3, spec.replication_factor), latency_mode="real")
-        mirrors = tuple(f"n{i}" for i in range(1, spec.replication_factor))
-        self.queues = []
-        for x in range(spec.topics):
-            ex = f"bench-x{x}"
-            self.engine.declare_exchange(ExchangeSpec(ex, ExchangeKind.DIRECT))
-            for qi in range(spec.partitions):
-                qname = f"{ex}-q{qi}"
-                self.engine.declare_queue(
-                    QueueSpec(qname, durable=self.at_least_once, mirrors=mirrors)
-                )
-                self.engine.bind(BindingSpec(ex, qname, key=f"k{qi}"))
-                self.queues.append((ex, f"k{qi}", qname))
+        # (exchange, routing key, queue): a queue per partition of each topic
+        self.queues = [(f"bench-x{x}", f"k{q}", f"bench-x{x}-q{q}")
+                       for x in range(spec.topics) for q in range(spec.partitions)]
+        self.engine = build_exch_engine(
+            topology(spec), spec.qos(), time.monotonic_ns, True, self.queues
+        )
         self.channels = [self.engine.channel() for _ in range(spec.producers)]
         self._rotor = [0] * spec.producers
-        self.consumers = []
-        for w in range(spec.consumers):
-            handles = []
-            for i, (_, _, qname) in enumerate(self.queues):
-                if i % spec.consumers == w:
-                    handles.append(
-                        self.engine.consume(
-                            qname,
-                            f"c{w}",
-                            ConsumeMode.PULL,
-                            prefetch=1000,
-                            auto_ack=not self.at_least_once,
-                        )
-                    )
-            self.consumers.append(handles)
+        # queues dealt round-robin over consumer workers
+        self.consumers = [[] for _ in range(spec.consumers)]
+        for i, (_, _, qname) in enumerate(self.queues):
+            w = i % spec.consumers
+            self.consumers[w].append(self.engine.consume(
+                qname, f"c{w}", ConsumeMode.PULL, prefetch=1000, auto_ack=not self.at_least_once
+            ))
 
     def next_lane(self, worker: int) -> tuple[str, str]:
         rotor = self._rotor[worker]
@@ -421,7 +399,7 @@ def run_latency(engine, spec: WorkloadSpec) -> LatencySummary:
     return summarize_latencies(stats.samples_ns)
 
 
-def _apply_sweep(spec: WorkloadSpec, param: str, value) -> WorkloadSpec:
+def apply_sweep(spec: WorkloadSpec, param: str, value) -> WorkloadSpec:
     field = _SWEEP_FIELDS.get(param)
     if field is None:
         raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -439,7 +417,7 @@ def run_throughput(engine, spec: WorkloadSpec, sweep: tuple[str, list]) -> list[
     engine; producers run saturating loops."""
     param, values = sweep
     # every point is validated before any is measured
-    points = [_apply_sweep(spec, param, value).resolved() for value in values]
+    points = [apply_sweep(spec, param, value).resolved() for value in values]
     out = []
     for value, point in zip(values, points):
         stats = _run_once(engine, point)

@@ -82,7 +82,7 @@ def cmd_bench(args) -> int:
     out_path = Path(args.out)
     try:
         if args.mode == "harness":
-            return _bench_harness_mode(args, spec, out_path)
+            return _bench_harness_mode(args.engine, spec, sweep, out_path)
         results = bench.run_throughput(args.engine, spec, sweep)
         bench.export(results, out_path, "CSV")
         meta = {
@@ -102,27 +102,30 @@ def cmd_bench(args) -> int:
     return EXIT_PASS
 
 
-def _bench_harness_mode(args, spec, out_path: Path) -> int:
-    """Deterministic mode: drive the workload through the scenario runner
-    and write the journals; same seed, same journal bytes."""
+def _bench_harness_mode(engine: str, spec, sweep: tuple[str, list], out_path: Path) -> int:
+    """Deterministic mode: run the sweep's one point through the scenario
+    runner, write its journals and grade them; same seed, same bytes."""
+    param, values = sweep
+    point = bench.apply_sweep(spec, param, values[0]).resolved()
+    # a scenario runs one topic, and on the exchange one queue
+    lanes = point.topics if engine == "log" else point.topics * point.partitions
+    if len(values) != 1 or point.messages_per_producer is None or lanes != 1:
+        raise ValueError("--mode harness needs --messages, one sweep point and one topic or queue")
     scenario = harness.Scenario(
-        engine=args.engine,
+        engine=engine,
         workload=harness.Workload(
-            producers=spec.producers,
-            consumers=spec.consumers,
-            record_size_bytes=spec.record_size_bytes,
-            messages_per_producer=args.messages or 50,
+            point.producers, point.consumers, point.record_size_bytes, point.messages_per_producer
         ),
-        qos=harness.QoSConfig(delivery=harness.Delivery.AT_LEAST_ONCE),
-        topology={"partitions": args.partitions, "ack_mode": "1", "flush_messages": 1}
-        if args.engine == "log"
-        else {"durable": True},
-        seed=args.seed,
+        qos=point.qos(),
+        topology=bench.topology(point),
+        seed=point.seed,
     )
     result = harness.run_scenario(scenario)
     bench.atomic_write(out_path, result.journals_blob())
-    print(f"wrote {out_path} (deterministic journals, seed {args.seed})")
-    return EXIT_PASS
+    v = harness.verdict(result.report, scenario.qos)
+    graded = "pass" if v.passed else f"fail:{v.reason}"
+    print(f"wrote {out_path} (deterministic journals, seed {point.seed}, verdict {graded})")
+    return EXIT_PASS if v.passed else EXIT_FAIL
 
 
 # --------------------------------------------------------------------------

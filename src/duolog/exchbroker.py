@@ -672,6 +672,7 @@ class ExchEngine(BrokerContract):
                         if promoted is not None:
                             self._drop(q.remove(lambda e: promoted not in e.mirrored_on))
                             q.home_node = promoted
+                            self._pump(q)
                         else:
                             q.available = False
             self._flow_update()
@@ -688,6 +689,7 @@ class ExchEngine(BrokerContract):
                         durable = q.spec.durable
                         self._drop(q.remove(lambda e: not (durable and e.fsynced)))
                         q.available = True
+                        self._pump(q)
             self._flow_update()
 
     def payload_bytes(self) -> int:
@@ -918,6 +920,7 @@ class ExchEngine(BrokerContract):
         if cons is not None and cons.mode is ConsumeMode.PUSH:
             with self._lock:
                 self._pushers -= 1
+        self._pump(q)
         self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
@@ -1073,7 +1076,7 @@ class ExchEngine(BrokerContract):
             return
         with q.lock:
             pushers = [c for c in q.consumers.values() if c.mode is ConsumeMode.PUSH]
-            if not pushers:
+            if not pushers or not q.available or not self.nodes[q.home_node].alive:
                 return
             now = self.clock()
             progress = True

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .core import (
     BrokerDown,
+    Clock,
     CorrectnessReport,
     Delivery,
     FlushPolicy,
@@ -34,16 +35,8 @@ from .core import (
     QoSConfig,
     check_correctness,
 )
-from .exchbroker import (
-    BindingSpec,
-    ConsumeMode,
-    ExchEngine,
-    ExchangeKind,
-    ExchangeSpec,
-    UnknownTag,
-    _queue_spec,
-)
-from .logbroker import ACK_MODES, LogEngine, OffsetOutOfRange, TopicConfig
+from .exchbroker import ConsumeMode, ExchEngine, UnknownTag
+from .logbroker import ACK_MODES, LogAckMode, LogEngine, OffsetOutOfRange, TopicConfig
 
 
 class ScenarioInvalid(ValueError):
@@ -295,6 +288,50 @@ def verdict(report: CorrectnessReport, qos: QoSConfig) -> Verdict:
     if qos.ordering is not Ordering.NONE and not report.no_disorder:
         return Verdict(False, "disorder")
     return Verdict(True)
+
+
+# --------------------------------------------------------------------------
+# engine builders: each engine's configuration policy, written once for the
+# harness and the bench.  `costs` turns the engines' modeled device time on
+# (the bench) or off (the harness, which charges its own virtual time).
+# --------------------------------------------------------------------------
+
+def build_log_engine(
+    topology: dict, qos: QoSConfig, clock: Clock, costs: bool, topics: list
+) -> tuple[LogEngine, LogAckMode]:
+    """A log engine with a topic per name in `topics`, and its appends' ack
+    mode.  Topology keys: `partitions`, `flush_messages`/`flush_ms` (a flush
+    every 1000 messages or 50 ms), `segment_bytes` and `ack_mode` ("1")."""
+    ack_mode = str(topology.get("ack_mode", "1"))
+    if ack_mode not in ACK_MODES:
+        raise ScenarioInvalid(f"ack_mode must be one of {sorted(ACK_MODES)}, got {ack_mode!r}")
+    rf = qos.replication_factor
+    flush = FlushPolicy(topology.get("flush_messages", 1000), topology.get("flush_ms", 50))
+    # modeled device costs: a flush's fsync, a quorum ack's second round trip
+    fsync, rtt = (30_000, 100_000) if costs else (0, 0)
+    engine = LogEngine(max(3, rf), clock=clock, fsync_latency_ns=fsync, replica_ack_rtt_ns=rtt)
+    for name in topics:
+        engine.create_topic(TopicConfig(name, topology.get("partitions", 1), rf, flush=flush,
+                                        segment_bytes=topology.get("segment_bytes", 1 << 20)))
+    return engine, ACK_MODES[ack_mode]
+
+
+def build_exch_engine(
+    topology: dict, qos: QoSConfig, clock: Clock, costs: bool, routes: list
+) -> ExchEngine:
+    """An exchange engine with a direct exchange, a queue and their binding
+    per (exchange, routing key, queue) in `routes`.  Queues read the topology
+    as a topology file's queue item; `durable` defaults to at-least-once unmirrored."""
+    durable = qos.delivery is Delivery.AT_LEAST_ONCE and not topology.get("mirrors")
+    queue = {"durable": durable, **topology, "vhost": "/"}
+    mode = "real" if costs else "none"
+    engine = ExchEngine(max(3, qos.replication_factor), clock=clock, latency_mode=mode)
+    engine.load_topology({
+        "exchanges": [{"name": x, "kind": "direct"} for x in dict.fromkeys(r[0] for r in routes)],
+        "queues": [{**queue, "name": q} for _, _, q in routes],
+        "bindings": [{"exchange": x, "queue": q, "key": k} for x, k, q in routes],
+    })
+    return engine
 
 
 # --------------------------------------------------------------------------
@@ -612,28 +649,11 @@ class _LogScenario(_Scenario):
     def __init__(self, run: _Run):
         super().__init__(run)
         s = run.s
-        topo = s.topology
-        ack_mode = str(topo.get("ack_mode", "1"))
-        if ack_mode not in ACK_MODES:
-            raise ScenarioInvalid(f"ack_mode must be one of {sorted(ACK_MODES)}, got {ack_mode!r}")
-        self.ack_mode = ACK_MODES[ack_mode]
-        rf = s.qos.replication_factor
-        flush = FlushPolicy(
-            flush_interval_messages=topo.get("flush_messages", 1000),
-            flush_interval_ms=topo.get("flush_ms", 50),
-        )
-        self.engine = LogEngine(max(3, rf), clock=run.clock.now)
         self.topic = "t"
-        self.engine.create_topic(
-            TopicConfig(
-                self.topic,
-                partitions=topo.get("partitions", 1),
-                replication_factor=rf,
-                flush=flush,
-                segment_bytes=topo.get("segment_bytes", 1 << 20),
-            )
+        self.engine, self.ack_mode = build_log_engine(
+            s.topology, s.qos, run.clock.now, False, [self.topic]
         )
-        self.batch_size = topo.get("producer_batch", 3)
+        self.batch_size = s.topology.get("producer_batch", 3)
         self.keyed = s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
         members = [f"c{i}" for i in range(s.workload.consumers)]
         self.group = "g"
@@ -743,15 +763,10 @@ class _ExchScenario(_Scenario):
 
     def __init__(self, run: _Run):
         super().__init__(run)
-        topo = run.s.topology
-        self.engine = ExchEngine(3, clock=run.clock.now, latency_mode="none")
-        self.engine.declare_exchange(ExchangeSpec("x", ExchangeKind.DIRECT))
         self.queue = "q"
-        # the topology's queue keys, read as a topology file's queue item
-        durable = self.at_least_once and not topo.get("mirrors")
-        item = {"durable": durable, **topo, "name": self.queue, "vhost": "/"}
-        self.engine.declare_queue(_queue_spec(item, "/"))
-        self.engine.bind(BindingSpec("x", self.queue, key=self.routing_key))
+        self.engine = build_exch_engine(
+            run.s.topology, run.s.qos, run.clock.now, False, [("x", self.routing_key, self.queue)]
+        )
         # one channel per flow keeps each flow's publishes in order
         self.channels = {p.flow: self.engine.channel() for p in self.producers}
         ids = [f"c{i}" for i in range(run.s.workload.consumers)]

@@ -11,6 +11,7 @@ checked exactly at their stated tolerances.
 import itertools
 import random
 import time
+from dataclasses import replace
 
 from duolog import model
 from duolog.advisor import (
@@ -19,8 +20,8 @@ from duolog.advisor import (
     expand_wildcards,
     recommend,
 )
-from duolog.bench import WorkloadSpec, run_spill_comparison, run_throughput
-from duolog.core import BrokerDown, FlushPolicy, Message, Ordering
+from duolog.bench import WorkloadSpec, run_spill_comparison, run_throughput, topology
+from duolog.core import BrokerDown, Delivery, FlushPolicy, Message, Ordering
 from duolog.exchbroker import (
     BindingSpec,
     ConsumeMode,
@@ -30,7 +31,7 @@ from duolog.exchbroker import (
     QueueSpec,
     match_topic,
 )
-from duolog.harness import random_scenario, run_scenario, verdict
+from duolog.harness import ScenarioInvalid, random_scenario, run_scenario, verdict
 from duolog.logbroker import (
     LogAckMode,
     LogEngine,
@@ -475,6 +476,49 @@ def test_bench_shape_delivery_modes():
     report(
         f"bench shape: exchange at-least-once pps <= at-most-once pps ({got}/{BENCH_RUNS} runs)",
         got >= BENCH_NEED, f"{obs}",
+    )
+
+
+# ===========================================================================
+# the gate grades what the bench measures: every point of the bench-shape
+# sweeps above, in both delivery modes, under the random fault scenarios
+# ===========================================================================
+
+BENCH_POINTS = {
+    "log": [
+        *(bench_spec(record_size_bytes=size) for size in (100, 8192, 65536)),
+        *(bench_spec(partitions=n) for n in (1, 2, 4, 8)),
+        *(bench_spec(record_size_bytes=512, replication_factor=rf) for rf in (1, 2)),
+    ],
+    "exch": [
+        *(bench_spec(record_size_bytes=size) for size in (100, 32768, 262144)),
+        *(bench_spec(replication_factor=rf) for rf in (1, 2)),
+    ],
+}
+
+
+def test_gate_grades_every_bench_point():
+    graded, failures = 0, []
+    for engine, points in BENCH_POINTS.items():
+        for point, delivery in itertools.product(points, Delivery):
+            point = replace(point, delivery=delivery)
+            for seed in range(40):
+                s = random_scenario(engine, seed)
+                s = replace(
+                    s, topology=topology(point), qos=point.qos(),
+                    workload=replace(s.workload, record_size_bytes=point.record_size_bytes),
+                )
+                try:
+                    s.validate()
+                except ScenarioInvalid:
+                    continue
+                graded += 1
+                v = verdict(run_scenario(s).report, s.qos)
+                if not v.passed:
+                    failures.append((engine, point.config_snapshot(), seed, v.reason))
+    report(
+        f"bench points: every graded fault scenario keeps its promise ({graded} scenarios)",
+        not failures, f"failures: {failures[:3]}",
     )
 
 

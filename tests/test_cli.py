@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, subcommand wiring."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -151,13 +152,63 @@ def test_bench_rejects_warmup_longer_than_duration(tmp_path):
     assert rc == 2
 
 
-def test_bench_harness_mode_is_deterministic(tmp_path):
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_bench_harness_mode_is_deterministic(tmp_path, engine):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    argv = ["bench", "--engine", "log", "--sweep", "record_size=16",
+    argv = ["bench", "--engine", engine, "--sweep", "record_size=16",
             "--mode", "harness", "--messages", "20", "--seed", "9"]
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+HARNESS_MODE = ["bench", "--engine", "log", "--mode", "harness", "--seed", "3"]
+
+
+def test_bench_harness_mode_runs_the_sweep_point(tmp_path):
+    def journals(*argv):
+        out = tmp_path / "j.jsonl"
+        out.unlink(missing_ok=True)
+        rc = main([*HARNESS_MODE, "--messages", "12", *argv, "--out", str(out)])
+        return rc, out.read_bytes() if out.exists() else None
+
+    assert journals("--sweep", "partitions=1,2,4") == (2, None)
+    rc, swept = journals("--sweep", "partitions=4")
+    assert rc == 0
+    assert swept == journals("--partitions", "4", "--sweep", "record_size=100")[1]
+    assert swept != journals("--sweep", "partitions=1")[1]
+
+
+@pytest.mark.parametrize("engine, point", [("log", "topics=2"), ("exch", "partitions=2")])
+def test_bench_harness_mode_refuses_a_point_a_scenario_cannot_run(tmp_path, engine, point):
+    # a scenario runs one topic, and on the exchange one queue
+    out = tmp_path / "j.jsonl"
+    argv = ["bench", "--engine", engine, "--mode", "harness", "--messages", "5"]
+    assert main([*argv, "--sweep", point, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_harness_mode_needs_messages(tmp_path):
+    out = tmp_path / "j.jsonl"
+    assert main([*HARNESS_MODE, "--sweep", "record_size=16", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_harness_mode_exits_1_on_a_failed_verdict(tmp_path, monkeypatch, capsys):
+    from duolog import harness
+
+    checked = harness.check_correctness
+
+    def lossy(produced, consumed, qos):
+        return dataclasses.replace(checked(produced, consumed, qos), no_loss=False)
+
+    monkeypatch.setattr(harness, "check_correctness", lossy)
+    out = tmp_path / "j.jsonl"
+    rc = main([*HARNESS_MODE, "--sweep", "ack_mode=at_least_once", "--messages", "5",
+               "--out", str(out)])
+    assert rc == 1
+    assert "verdict fail:loss" in capsys.readouterr().out
+    assert out.exists()
 
 
 def test_bench_bad_sweep(tmp_path):

@@ -19,13 +19,11 @@ KEEP = {
     # read the `.seg` files a restart will recover from (ROADMAP item 3)
     "segment_paths",
     "iter_records",
-    # the library surface of three exchange features that neither the
-    # harness nor the bench drives: a PUSH consumer's inbox read
-    # (`ConsumerHandle.drain`), an ack inside a transaction, and building an
-    # engine from a topology file (`duolog topo` only validates one)
+    # the library surface of two exchange features that neither the harness
+    # nor the bench drives: a PUSH consumer's inbox read
+    # (`ConsumerHandle.drain`) and an ack inside a transaction
     "drain",
     "tx_ack",
-    "load_topology",
 }
 
 

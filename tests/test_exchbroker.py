@@ -795,6 +795,54 @@ def test_mirror_promotion_keeps_accepted_entries():
     assert [d.message.seq_no for d in cons.pull(10)] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("mirrors", [(), ("n1",)], ids=["restart", "promotion"])
+def test_push_consumer_is_pushed_again_after_a_failover(mirrors):
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", durable=True, mirrors=mirrors))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    chan = eng.channel()
+    cons = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=2)
+    for i in range(4):
+        eng.publish(chan, "ex", msg(i, rk="k"), persistent=True)
+    assert [d.message.seq_no for d in cons.drain()] == [0, 1]
+    home = home_node_of(eng, "q0")
+    eng.crash_node(home)
+    if not mirrors:
+        eng.restart_node(home)
+    # the crash voided the two deliveries; they go out again without
+    # waiting on another publish
+    assert [d.message.seq_no for d in cons.drain()] == [0, 1]
+    assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (2, 2)
+
+
+def test_a_down_queue_pushes_nothing_and_its_restart_pushes_what_survived():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", durable=True))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    chan = eng.channel()
+    eng.publish(chan, "ex", msg(0, rk="k"), persistent=True)
+    eng.publish(chan, "ex", msg(1, rk="k"), persistent=False)  # lost on restart
+    home = home_node_of(eng, "q0")
+    eng.crash_node(home)
+    cons = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=5)
+    assert cons.drain() == []  # as a pull raises BrokerDown
+    eng.restart_node(home)
+    assert [d.message.seq_no for d in cons.drain()] == [0]
+
+
+def test_cancel_pushes_its_requeued_deliveries_to_another_push_consumer():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    first = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=2)
+    for i in range(2):
+        eng.publish(chan, "ex", msg(i, rk="k"))
+    second = eng.consume("q0", "c2", ConsumeMode.PUSH, prefetch=2)
+    eng.cancel_consumer(first)
+    assert [d.message.seq_no for d in second.drain()] == [0, 1]
+
+
 def test_broker_deletes_state_after_full_ack_cycle():
     eng = make_engine()
     chan = direct_setup(eng)
