@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import threading
 import time
@@ -182,11 +181,15 @@ class ThroughputSample:
         return dict(zip(EXPORT_COLUMNS, values, strict=True))
 
 
-def topology(spec: WorkloadSpec) -> dict:
-    """A bench point's engine settings as a scenario file's `topology`: the one
-    place a `WorkloadSpec` becomes them.  The log reads `partitions`, `ack_mode`,
-    the flush bounds and `producer_batch`; the exchange, `durable` and `mirrors`."""
+def topology(spec: WorkloadSpec, engine: str) -> dict:
+    """A bench point's settings for `engine` ("log" or "exch") as a scenario
+    file's `topology`: the one place a `WorkloadSpec` becomes them."""
     at_least_once = spec.delivery is Delivery.AT_LEAST_ONCE
+    if engine == "exch":
+        return {
+            "durable": at_least_once,
+            "mirrors": [f"n{i}" for i in range(1, spec.replication_factor)],
+        }
     return {
         "partitions": spec.partitions,
         # replication is only meaningful when acks wait on the replicas
@@ -195,8 +198,6 @@ def topology(spec: WorkloadSpec) -> dict:
         "flush_messages": 1 if at_least_once else 10_000,
         "flush_ms": None if at_least_once else 1000,
         "producer_batch": PRODUCER_BATCH_MESSAGES,
-        "durable": at_least_once,
-        "mirrors": [f"n{i}" for i in range(1, spec.replication_factor)],
     }
 
 
@@ -216,7 +217,7 @@ class _LogCtx:
     def __init__(self, spec: WorkloadSpec) -> None:
         topics = [f"bench-{t}" for t in range(spec.topics)]
         self.engine, self.acks = build_log_engine(
-            topology(spec), spec.qos(), time.monotonic_ns, True, topics
+            topology(spec, "log"), spec.qos(), time.monotonic_ns, True, topics
         )
         self.lanes = [(t, p) for t in topics for p in range(spec.partitions)]
         # producer w starts at lane w
@@ -253,7 +254,7 @@ class _ExchCtx:
         self.queues = [(f"bench-x{x}", f"k{q}", f"bench-x{x}-q{q}")
                        for x in range(spec.topics) for q in range(spec.partitions)]
         self.engine = build_exch_engine(
-            topology(spec), spec.qos(), time.monotonic_ns, True, self.queues
+            topology(spec, "exch"), spec.qos(), time.monotonic_ns, True, self.queues
         )
         self.channels = [self.engine.channel() for _ in range(spec.producers)]
         self._rotor = [0] * spec.producers
@@ -286,8 +287,8 @@ class _ExchCtx:
         return out
 
 
-# what `run_throughput` and `run_latency` accept by name; they also take any
-# callable from a resolved spec to a context
+# what `run_throughput` accepts by name; it also takes any callable from a
+# resolved spec to a context
 ENGINES = {"log": _LogCtx, "exch": _ExchCtx}
 
 
@@ -390,13 +391,6 @@ def _run_once(engine, spec: WorkloadSpec) -> RunStats:
         produced=sum(produced_counts),
         window_s=window_s,
     )
-
-
-def run_latency(engine, spec: WorkloadSpec) -> LatencySummary:
-    """Per-message latency (production to delivery) over the post-warmup
-    window; raises NoSamples when nothing was delivered in it."""
-    stats = _run_once(engine, spec)
-    return summarize_latencies(stats.samples_ns)
 
 
 def apply_sweep(spec: WorkloadSpec, param: str, value) -> WorkloadSpec:
@@ -534,21 +528,14 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def export(results: list[ThroughputSample], path, format: str) -> None:
-    """Write results with the stable column order; refuses empty inputs and
-    never leaves a partial file behind (`atomic_write`)."""
+def export(results: list[ThroughputSample], path) -> None:
+    """Write results as CSV with the stable column order; refuses empty
+    inputs and never leaves a partial file behind (`atomic_write`)."""
     if not results:
         raise ValueError("refusing to export empty results")
-    fmt = format.upper()
-    if fmt not in ("CSV", "JSONL"):
-        raise ValueError(f"format must be CSV or JSONL, got {format!r}")
     buf = io.StringIO()
-    if fmt == "CSV":
-        writer = csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS)
-        writer.writeheader()
-        for sample in results:
-            writer.writerow(sample.row())
-    else:
-        for sample in results:
-            buf.write(json.dumps(sample.row()) + "\n")
+    writer = csv.DictWriter(buf, fieldnames=EXPORT_COLUMNS)
+    writer.writeheader()
+    for sample in results:
+        writer.writerow(sample.row())
     atomic_write(path, buf.getvalue())

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from . import advisor, bench, harness, model
+from .core import file_mapping, from_keys
 from .exchbroker import validate_topology
 
 EXIT_PASS = 0
@@ -84,7 +85,7 @@ def cmd_bench(args) -> int:
         if args.mode == "harness":
             return _bench_harness_mode(args.engine, spec, sweep, out_path)
         results = bench.run_throughput(args.engine, spec, sweep)
-        bench.export(results, out_path, "CSV")
+        bench.export(results, out_path)
         meta = {
             "tool_version": __version__,
             "python": platform.python_version(),
@@ -117,7 +118,7 @@ def _bench_harness_mode(engine: str, spec, sweep: tuple[str, list], out_path: Pa
             point.producers, point.consumers, point.record_size_bytes, point.messages_per_producer
         ),
         qos=point.qos(),
-        topology=bench.topology(point),
+        topology=bench.topology(point, engine),
         seed=point.seed,
     )
     result = harness.run_scenario(scenario)
@@ -161,11 +162,9 @@ def _load_constants(args, form: str):
             ) from None
     if not args.constants:
         raise ValueError("need --constants fit.json or --preset NAME")
-    payload = json.loads(Path(args.constants).read_text())
-    consts = payload.get("constants", payload)
-    if form == "rabbit":
-        return model.RabbitThroughputModel(**consts)
-    return model.KafkaThroughputModel(**consts)
+    payload = file_mapping(json.loads(Path(args.constants).read_text()), "constants file")
+    cls = model.RabbitThroughputModel if form == "rabbit" else model.KafkaThroughputModel
+    return from_keys(cls, payload.get("constants", payload), "constants")
 
 
 def cmd_model(args) -> int:

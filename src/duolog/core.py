@@ -11,10 +11,11 @@ is decided by the harness.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -66,6 +67,67 @@ class NegativeTtl(ValidationError):
 
 class MismatchedFlows(ValueError):
     """The consumed journal mentions flows the produced journal does not."""
+
+
+class ScenarioInvalid(ValueError):
+    """A scenario or topology file, or a scenario, that cannot run as given."""
+
+
+# --------------------------------------------------------------------------
+# file mappings: the one reader of scenario and topology files
+# --------------------------------------------------------------------------
+
+def file_mapping(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ScenarioInvalid(f"{where} must be a JSON object, got {d!r}")
+    return d
+
+
+# the file types a value may have, by its field's annotation (a string: the
+# modules postpone annotations), and how a refusal names them.  Types are
+# exact, so true is not an integer; a field of another type is converted by
+# the caller's `read` function, or taken as it is.
+_NULL = type(None)
+_FILE_TYPES = {
+    "int": ((int,), "an integer"),
+    "Optional[int]": ((int, _NULL), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "Optional[str]": ((str, _NULL), "a string or null"),
+    "Optional[dict]": ((dict, _NULL), "an object or null"),
+    "tuple": ((list, tuple), "a list"),
+}
+
+
+def check_keys(keys: dict, d, where: str) -> dict:
+    """Return mapping `d` if each of its keys is in `keys` (key -> annotation)
+    with a value of its file type; else raise `ScenarioInvalid` naming the
+    first key that is unknown or mistyped."""
+    for k, v in file_mapping(d, where).items():
+        if k not in keys:
+            raise ScenarioInvalid(f"{where}: unknown key {k!r}")
+        rule = _FILE_TYPES.get(keys[k])
+        if rule is not None and type(v) not in rule[0]:
+            raise ScenarioInvalid(f"{where}: {k} must be {rule[1]}, got {v!r}")
+    return d
+
+
+@functools.cache
+def _key_table(cls) -> dict:
+    return {f.name: f.type for f in fields(cls)}
+
+
+def from_keys(cls, d, where: str, **read):
+    """Build dataclass `cls` from file mapping `d` as `check_keys` vets it
+    against the fields, passing only the keys present so every default stays
+    the dataclass's; `read` maps a key to the function that converts its
+    value.  A missing key without a default raises `ScenarioInvalid` too."""
+    check_keys(_key_table(cls), d, where)
+    try:
+        return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
+    except TypeError as e:
+        raise ScenarioInvalid(f"{where}: {e}") from None
 
 
 # --------------------------------------------------------------------------

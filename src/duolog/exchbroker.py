@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import BrokerContract, BrokerDown, Clock, Message, spin_ns, validate_message
+from .core import BrokerContract, BrokerDown, Clock, Message, ScenarioInvalid, spin_ns
+from .core import check_keys, file_mapping, from_keys, validate_message
 from .hashing import stable_hash64
 
 
@@ -1168,70 +1169,43 @@ class ConsumerHandle:
 # topology files
 # --------------------------------------------------------------------------
 
-def _exchange_spec(item: dict, vhost: str) -> ExchangeSpec:
-    """One `exchanges` item of a topology mapping; `vhost` is the file's."""
-    return ExchangeSpec(
-        name=item["name"],
-        kind=ExchangeKind(item["kind"]),
-        vhost=item.get("vhost", vhost),
-        alternate=item.get("alternate"),
-    )
+# a topology file's own keys (`_load` checks that each section is a list);
+# its items' keys are their spec classes' fields
+_TOPOLOGY_KEYS = {"vhost": "str", "exchanges": "list", "queues": "list", "bindings": "list"}
 
-
-def _queue_spec(item: dict, vhost: str) -> QueueSpec:
-    """One `queues` item of a topology mapping; `vhost` is the file's."""
-    return QueueSpec(
-        name=item["name"],
-        vhost=item.get("vhost", vhost),
-        max_length=item.get("max_length"),
-        default_ttl=item.get("default_ttl"),
-        memory_cap_bytes=item.get("memory_cap_bytes"),
-        spill_to_disk=item.get("spill_to_disk", False),
-        mirrors=tuple(item.get("mirrors", ())),
-        durable=item.get("durable", False),
-        overflow=OverflowPolicy(item.get("overflow", "drop_oldest")),
-    )
-
-
-def _binding_spec(item: dict, vhost: str) -> BindingSpec:
-    """One `bindings` item of a topology mapping; `vhost` is the file's."""
-    return BindingSpec(
-        exchange=item["exchange"],
-        queue=item["queue"],
-        vhost=item.get("vhost", vhost),
-        key=item.get("key"),
-        pattern=item.get("pattern"),
-        header_match=item.get("header_match"),
-        match_mode=MatchMode(item.get("match_mode", "all")),
-        weight=item.get("weight", 1),
-    )
-
-
-# what building or declaring one malformed or conflicting item raises
-_ITEM_ERRORS = (ExchError, AttributeError, KeyError, TypeError, ValueError)
+# what reading or declaring one malformed or conflicting item raises
+_ITEM_ERRORS = (ExchError, AttributeError, TypeError, ValueError)
 
 
 def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, Exception]]:
     """Declare each item of a topology mapping on `engine`, in load order:
-    exchanges, then queues, then bindings.  Each item goes through its spec
-    builder and then `declare_exchange`, `declare_queue` or `bind`; an item
-    that raises is yielded as (where, error), where naming the item, and
-    loading goes on.  A section that is not a list yields one `ExchError`."""
-    vhost = topology.get("vhost", "/")
-    for section, spec_of, declare in (
-        ("exchanges", _exchange_spec, engine.declare_exchange),
-        ("queues", _queue_spec, engine.declare_queue),
-        ("bindings", _binding_spec, engine.bind),
+    exchanges, then queues, then bindings.  `from_keys` reads each item into
+    its spec class, with the file's `vhost` as the item's default, and then
+    `declare_exchange`, `declare_queue` or `bind` declares it; an item that
+    raises is yielded as (where, error), where naming the item, and loading
+    goes on.  An unknown file key, and a section that is not a list, yield
+    one error each."""
+    try:
+        check_keys(_TOPOLOGY_KEYS, topology, "topology")
+    except ScenarioInvalid as e:
+        yield "topology", e
+    file_vhost = {"vhost": topology["vhost"]} if "vhost" in topology else {}
+    for section, spec_class, read, declare in (
+        ("exchanges", ExchangeSpec, {"kind": ExchangeKind}, engine.declare_exchange),
+        ("queues", QueueSpec, {"mirrors": tuple, "overflow": OverflowPolicy}, engine.declare_queue),
+        ("bindings", BindingSpec, {"match_mode": MatchMode}, engine.bind),
     ):
         items = topology.get(section, ())
         if not isinstance(items, (list, tuple)):
             yield "topology", ExchError(f"{section} must be a list, got {items!r}")
             continue
         for item in items:
+            where = f"{section[:-1]} {item!r}"
             try:
-                declare(spec_of(item, vhost))
+                item = {**file_vhost, **file_mapping(item, section[:-1])}
+                declare(from_keys(spec_class, item, where, **read))
             except _ITEM_ERRORS as e:
-                yield f"{section[:-1]} {item!r}", e
+                yield where, e
 
 
 def validate_topology(topology: dict) -> list[str]:
@@ -1251,8 +1225,7 @@ def validate_topology(topology: dict) -> list[str]:
     scratch = ExchEngine(sorted(mirrors) or 1, latency_mode="none")
     problems = []
     for where, e in _load(scratch, topology):
-        why = f"missing {e}" if isinstance(e, KeyError) else str(e)
-        if isinstance(e, UnknownEntity):
-            why = f"unknown {why}"
-        problems.append(f"{where}: {why}")
+        why = f"unknown {e}" if isinstance(e, UnknownEntity) else str(e)
+        # the file reader's errors name their item already
+        problems.append(why if isinstance(e, ScenarioInvalid) else f"{where}: {why}")
     return problems

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -33,48 +33,18 @@ from .core import (
     Message,
     Ordering,
     QoSConfig,
+    ScenarioInvalid,
     check_correctness,
+    check_keys,
+    file_mapping,
+    from_keys,
 )
-from .exchbroker import ConsumeMode, ExchEngine, UnknownTag
+from .exchbroker import ConsumeMode, ExchEngine, UnknownEntity, UnknownTag
 from .logbroker import ACK_MODES, LogAckMode, LogEngine, OffsetOutOfRange, TopicConfig
-
-
-class ScenarioInvalid(ValueError):
-    pass
 
 
 class NondeterminismDetected(RuntimeError):
     pass
-
-
-def _mapping(d, where: str) -> dict:
-    if not isinstance(d, dict):
-        raise ScenarioInvalid(f"{where} must be a JSON object, got {d!r}")
-    return d
-
-
-# integer fields by their annotation (a string: the modules postpone
-# annotations), and whether the field also takes None
-_INTEGER_FIELDS = {"int": False, "Optional[int]": True}
-
-
-def _from_keys(cls, d, where: str, **read):
-    """Build dataclass `cls` from scenario-file mapping `d`, passing only the
-    keys present so every default stays the dataclass's; `read` maps a key
-    to the function that converts its value.  An unknown key, a missing one
-    that has no default, or a value of an integer field that is not an
-    integer (a "2", 2.0 or true would fail deep in a run) raises
-    `ScenarioInvalid`."""
-    d = _mapping(d, where)
-    for f in fields(cls):
-        if f.name in d and f.type in _INTEGER_FIELDS:
-            value = d[f.name]
-            if type(value) is not int and not (value is None and _INTEGER_FIELDS[f.type]):
-                raise ScenarioInvalid(f"{where}: {f.name} must be an integer, got {value!r}")
-    try:
-        return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
-    except TypeError as e:
-        raise ScenarioInvalid(f"{where}: {e}") from None
 
 
 # -- virtual time costs (ns); arbitrary but fixed ---------------------------
@@ -117,13 +87,6 @@ class FaultEvent:
                 f"fault: index, at_ms, delay_ms and down_ms must be >= 0, got {self}"
             )
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultEvent":
-        return _from_keys(cls, d, "fault", kind=FaultKind)
-
 
 # the fault kinds that each trigger injects; the run never consults any
 # other pair.  An exchange duplicates the delivery in hand, so it has no
@@ -138,13 +101,6 @@ _TRIGGERED_KINDS = {
 @dataclass(frozen=True)
 class FaultPlan:
     events: tuple = ()
-
-    def to_list(self) -> list:
-        return [e.to_dict() for e in self.events]
-
-    @classmethod
-    def from_list(cls, items: list) -> "FaultPlan":
-        return cls(events=tuple(FaultEvent.from_dict(d) for d in items))
 
 
 class Phase(Enum):
@@ -209,7 +165,7 @@ class Scenario:
         if self.engine not in ("log", "exch"):
             raise ScenarioInvalid(f"unknown engine {self.engine!r}")
         if self.qos.ordering is Ordering.GLOBAL_SINGLE_LANE:
-            if self.engine == "log" and self.topology.get("partitions", 1) != 1:
+            if self.engine == "log" and _log_topology(self.topology)["partitions"] != 1:
                 raise ScenarioInvalid("global single lane needs exactly one partition")
             if self.engine == "exch" and self.workload.producers != 1:
                 raise ScenarioInvalid("global single lane needs one channel feeding one queue")
@@ -227,37 +183,30 @@ class Scenario:
                 raise ScenarioInvalid("a fault on 'time' needs at_ms")
 
     def to_dict(self) -> dict:
+        """The scenario as a file's mapping: its dataclasses' fields, with
+        each enum as its value."""
         return {
-            "engine": self.engine,
-            "seed": self.seed,
-            "drain_deadline_ms": self.drain_deadline_ms,
-            "retry_limit": self.retry_limit,
-            "topology": self.topology,
-            "workload": asdict(self.workload),
-            "qos": {
-                "delivery": self.qos.delivery.value,
-                "ordering": self.qos.ordering.value,
-                "replication_factor": self.qos.replication_factor,
-            },
-            "faults": self.faults.to_list(),
+            **asdict(self),
+            "qos": {**asdict(self.qos), "delivery": self.qos.delivery.value,
+                    "ordering": self.qos.ordering.value},
+            "faults": [{**asdict(e), "kind": e.kind.value} for e in self.faults.events],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        """Read a scenario file's mapping: an absent key takes its dataclass
-        default, and an unknown key raises `ScenarioInvalid`.  `topology` is
-        free-form; an `ack_mode` under `qos` is moved into it."""
-        d = {"workload": {}, "qos": {}, **_mapping(d, "scenario")}
-        d["qos"] = qos = dict(_mapping(d["qos"], "qos"))
-        if "ack_mode" in qos:
-            topology = _mapping(d.get("topology", {}), "topology")
-            d["topology"] = {"ack_mode": qos.pop("ack_mode"), **topology}
-        return _from_keys(
+        """Read a scenario file's mapping, and each of its parts, with
+        `from_keys`: an absent key takes its dataclass default, and an
+        unknown or mistyped one raises `ScenarioInvalid`.  The engine
+        builders read `topology`."""
+        d = {"workload": {}, "qos": {}, **file_mapping(d, "scenario")}
+        return from_keys(
             cls, d, "scenario",
-            workload=lambda w: _from_keys(Workload, w, "workload"),
-            qos=lambda q: _from_keys(QoSConfig, q, "qos", delivery=Delivery, ordering=Ordering),
-            topology=lambda t: dict(_mapping(t, "topology")),
-            faults=FaultPlan.from_list,
+            workload=lambda w: from_keys(Workload, w, "workload"),
+            qos=lambda q: from_keys(QoSConfig, q, "qos", delivery=Delivery, ordering=Ordering),
+            topology=lambda t: dict(file_mapping(t, "topology")),
+            faults=lambda fs: FaultPlan(
+                tuple(from_keys(FaultEvent, f, "fault", kind=FaultKind) for f in fs)
+            ),
         )
 
 
@@ -296,41 +245,75 @@ def verdict(report: CorrectnessReport, qos: QoSConfig) -> Verdict:
 # (the bench) or off (the harness, which charges its own virtual time).
 # --------------------------------------------------------------------------
 
+# the log engine's scenario `topology`: each key's file type and default.
+# `partitions` and `segment_bytes` go to each topic's `TopicConfig`, the
+# flush bounds to its `FlushPolicy`, and the defaults taken from those
+# classes are theirs; `ack_mode` is a key of `ACK_MODES`, and
+# `producer_batch` the messages a harness producer sends per append.
+_LOG_KEYS = {
+    "partitions": ("int", TopicConfig.partitions),
+    "ack_mode": ("str", "1"),
+    "flush_messages": ("Optional[int]", FlushPolicy.flush_interval_messages),
+    "flush_ms": ("Optional[int]", 50),
+    "segment_bytes": ("int", TopicConfig.segment_bytes),
+    "producer_batch": ("int", 3),
+}
+_LOG_TYPES = {key: file_type for key, (file_type, _) in _LOG_KEYS.items()}
+
+
+def _log_topology(topology: dict) -> dict:
+    """The log's scenario `topology` with a value for every key of
+    `_LOG_KEYS`.  What `check_keys` refuses, an ack mode outside
+    `ACK_MODES` and a producer batch below 1 raise `ScenarioInvalid`."""
+    check_keys(_LOG_TYPES, topology, "topology")
+    t = {key: topology.get(key, default) for key, (_, default) in _LOG_KEYS.items()}
+    if t["ack_mode"] not in ACK_MODES:
+        raise ScenarioInvalid(f"topology: ack_mode must be one of {sorted(ACK_MODES)}, got "
+                              f"{t['ack_mode']!r}")
+    if t["producer_batch"] < 1:
+        raise ScenarioInvalid(f"topology: producer_batch must be >= 1, got {t['producer_batch']}")
+    return t
+
+
 def build_log_engine(
     topology: dict, qos: QoSConfig, clock: Clock, costs: bool, topics: list
 ) -> tuple[LogEngine, LogAckMode]:
     """A log engine with a topic per name in `topics`, and its appends' ack
-    mode.  Topology keys: `partitions`, `flush_messages`/`flush_ms` (a flush
-    every 1000 messages or 50 ms), `segment_bytes` and `ack_mode` ("1")."""
-    ack_mode = str(topology.get("ack_mode", "1"))
-    if ack_mode not in ACK_MODES:
-        raise ScenarioInvalid(f"ack_mode must be one of {sorted(ACK_MODES)}, got {ack_mode!r}")
+    mode, from a scenario `topology` (see `_LOG_KEYS`)."""
+    t = _log_topology(topology)
     rf = qos.replication_factor
-    flush = FlushPolicy(topology.get("flush_messages", 1000), topology.get("flush_ms", 50))
+    flush = FlushPolicy(t["flush_messages"], t["flush_ms"])
     # modeled device costs: a flush's fsync, a quorum ack's second round trip
     fsync, rtt = (30_000, 100_000) if costs else (0, 0)
     engine = LogEngine(max(3, rf), clock=clock, fsync_latency_ns=fsync, replica_ack_rtt_ns=rtt)
     for name in topics:
-        engine.create_topic(TopicConfig(name, topology.get("partitions", 1), rf, flush=flush,
-                                        segment_bytes=topology.get("segment_bytes", 1 << 20)))
-    return engine, ACK_MODES[ack_mode]
+        engine.create_topic(TopicConfig(name, t["partitions"], rf, flush=flush,
+                                        segment_bytes=t["segment_bytes"]))
+    return engine, ACK_MODES[t["ack_mode"]]
 
 
 def build_exch_engine(
     topology: dict, qos: QoSConfig, clock: Clock, costs: bool, routes: list
 ) -> ExchEngine:
     """An exchange engine with a direct exchange, a queue and their binding
-    per (exchange, routing key, queue) in `routes`.  Queues read the topology
-    as a topology file's queue item; `durable` defaults to at-least-once unmirrored."""
+    per (exchange, routing key, queue) in `routes`.  Each queue is the
+    scenario `topology` read as a topology file's queue item, less `name`
+    and `vhost`, which the routes set; `durable` defaults to at-least-once
+    unmirrored."""
+    for key in ("name", "vhost"):
+        if key in topology:
+            raise ScenarioInvalid(f"topology: unknown key {key!r}")
     durable = qos.delivery is Delivery.AT_LEAST_ONCE and not topology.get("mirrors")
-    queue = {"durable": durable, **topology, "vhost": "/"}
     mode = "real" if costs else "none"
     engine = ExchEngine(max(3, qos.replication_factor), clock=clock, latency_mode=mode)
-    engine.load_topology({
-        "exchanges": [{"name": x, "kind": "direct"} for x in dict.fromkeys(r[0] for r in routes)],
-        "queues": [{**queue, "name": q} for _, _, q in routes],
-        "bindings": [{"exchange": x, "queue": q, "key": k} for x, k, q in routes],
-    })
+    try:
+        engine.load_topology({
+            "exchanges": [{"name": x, "kind": "direct"} for x in dict.fromkeys(r[0] for r in routes)],
+            "queues": [{"durable": durable, **topology, "name": q} for _, _, q in routes],
+            "bindings": [{"exchange": x, "queue": q, "key": k} for x, k, q in routes],
+        })
+    except UnknownEntity as e:  # a mirror that is not one of the engine's nodes
+        raise ScenarioInvalid(f"topology: unknown {e}") from None
     return engine
 
 
@@ -653,7 +636,7 @@ class _LogScenario(_Scenario):
         self.engine, self.ack_mode = build_log_engine(
             s.topology, s.qos, run.clock.now, False, [self.topic]
         )
-        self.batch_size = s.topology.get("producer_batch", 3)
+        self.batch_size = _log_topology(s.topology)["producer_batch"]
         self.keyed = s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
         members = [f"c{i}" for i in range(s.workload.consumers)]
         self.group = "g"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -70,16 +70,9 @@ class FitResult:
     samples_used: int
 
     def to_dict(self) -> dict:
-        c = self.constants
-        if isinstance(c, RabbitThroughputModel):
-            constants = {"u_routing": c.u_routing, "u_byte": c.u_byte}
-            form = "rabbit"
-        else:
-            constants = {"u_routing": c.u_routing, "u_topics": c.u_topics, "u_byte": c.u_byte}
-            form = "kafka"
         return {
-            "form": form,
-            "constants": constants,
+            "form": "rabbit" if isinstance(self.constants, RabbitThroughputModel) else "kafka",
+            "constants": asdict(self.constants),
             "mean_relative_error": self.mean_relative_error,
             "samples_used": self.samples_used,
         }

@@ -505,7 +505,7 @@ def test_gate_grades_every_bench_point():
             for seed in range(40):
                 s = random_scenario(engine, seed)
                 s = replace(
-                    s, topology=topology(point), qos=point.qos(),
+                    s, topology=topology(point, engine), qos=point.qos(),
                     workload=replace(s.workload, record_size_bytes=point.record_size_bytes),
                 )
                 try:

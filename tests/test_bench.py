@@ -1,9 +1,8 @@
 """Measurement machinery: percentile summaries, warmup exclusion, honesty
-clamps, export formats, and a smoke run against both engines.  The full
+clamps, CSV export, and a smoke run against both engines.  The full
 direction sweeps (5 runs, majority vote) live in the acceptance suite."""
 
 import csv
-import json
 import random
 import time
 
@@ -16,7 +15,6 @@ from duolog.bench import (
     WorkloadSpec,
     export,
     nearest_rank,
-    run_latency,
     run_throughput,
     summarize_latencies,
 )
@@ -119,20 +117,24 @@ FAST_SPEC = WorkloadSpec(
 )
 
 
-def test_run_latency_fixed_synthetic_pipeline():
+def latency(driver, spec=FAST_SPEC):
+    """The latency summary of one sweep point."""
+    (sample,) = run_throughput(driver, spec, ("record_size", [spec.record_size_bytes]))
+    return sample.latency
+
+
+def test_latency_of_a_fixed_synthetic_pipeline():
     # the driver fabricates a constant 5 ms pipeline; only the caller's
     # timestamping overhead (microseconds) separates the stats
-    s = run_latency(SyntheticDriver(), FAST_SPEC)
+    s = latency(SyntheticDriver())
     assert 4.99 <= s.p50_ms <= 5.5
     assert 4.99 <= s.mean_ms <= 6.0
     assert s.p999_ms <= 60.0  # no pollution anywhere near the slow band
 
 
 def test_warmup_exclusion():
-    clean = run_latency(SyntheticDriver(), FAST_SPEC)
-    polluted = run_latency(
-        SyntheticDriver(warmup_latency_ns=500_000_000), FAST_SPEC
-    )
+    clean = latency(SyntheticDriver())
+    polluted = latency(SyntheticDriver(warmup_latency_ns=500_000_000))
     # artificially slow (500 ms) deliveries during warmup leave the measured
     # summary unchanged: nothing within an order of magnitude of them remains
     assert abs(polluted.p50_ms - clean.p50_ms) < 1.0
@@ -146,8 +148,10 @@ def test_zero_post_warmup_samples():
             ctx.poll = lambda worker: []
             return ctx
 
-    with pytest.raises(NoSamples):
-        run_latency(DeadDriver(), FAST_SPEC)
+    # a point that delivers nothing reports an empty summary, not an error
+    (sample,) = run_throughput(DeadDriver(), FAST_SPEC, ("record_size", [100]))
+    assert sample.latency == LatencySummary(0.0, 0.0, 0.0, 0.0, 0)
+    assert sample.pps == 0.0
 
 
 def test_reported_pps_clamped_to_produced_rate():
@@ -251,22 +255,14 @@ def sample_results():
 
 def test_export_csv(tmp_path):
     path = tmp_path / "results.csv"
-    export(sample_results(), path, "CSV")
+    export(sample_results(), path)
     rows = list(csv.reader(path.open()))
     assert rows[0] == list(EXPORT_COLUMNS)
     assert len(rows) == 4  # header + 3 data rows
 
 
-def test_export_jsonl(tmp_path):
-    path = tmp_path / "results.jsonl"
-    export(sample_results(), path, "JSONL")
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 3
-    assert list(lines[0].keys()) == list(EXPORT_COLUMNS)
-
-
 def test_export_empty_refuses_and_creates_nothing(tmp_path):
     path = tmp_path / "results.csv"
     with pytest.raises(ValueError):
-        export([], path, "CSV")
+        export([], path)
     assert not path.exists()

@@ -26,8 +26,8 @@ LOG_SCENARIO = {
     "workload": {"producers": 2, "consumers": 1, "record_size_bytes": 16,
                  "messages_per_producer": 6},
     "qos": {"delivery": "at_least_once", "ordering": "per_partition",
-            "replication_factor": 1, "ack_mode": "1"},
-    "topology": {"partitions": 2, "flush_messages": 1},
+            "replication_factor": 1},
+    "topology": {"partitions": 2, "ack_mode": "1", "flush_messages": 1},
     "faults": [{"kind": "drop_ack", "on": "produce", "index": 3}],
 }
 
@@ -81,10 +81,27 @@ def test_verify_lossy_configuration_fails(tmp_path, capsys, lossy):
 
 @pytest.mark.parametrize("bad, named", [
     (dict(GOOD_SCENARIO, drain_deadline=10), "'drain_deadline'"),
-    (dict(LOG_SCENARIO, qos=dict(LOG_SCENARIO["qos"], ack_mode="all")), "'quorum'"),
+    (dict(LOG_SCENARIO, topology=dict(LOG_SCENARIO["topology"], ack_mode="all")), "'quorum'"),
     ({"engine": "exch", "workload": {"producers": "2"}}, "producers must be an integer"),
 ], ids=["misspelled-key", "unknown-ack-mode", "string-for-an-integer"])
 def test_verify_rejects_a_bad_scenario_file(tmp_path, capsys, bad, named):
+    assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, named", [
+    (dict(LOG_SCENARIO, topology={"partitons": 3}), "unknown key 'partitons'"),
+    (dict(LOG_SCENARIO, topology={"partitions": "3"}), "partitions must be an integer"),
+    (dict(LOG_SCENARIO, topology={"producer_batch": 0}), "producer_batch must be >= 1"),
+    (dict(GOOD_SCENARIO, topology={"durable": "no"}), "durable must be true or false"),
+    (dict(GOOD_SCENARIO, topology={"mirrors": "n1"}), "mirrors must be a list"),
+    (dict(GOOD_SCENARIO, topology={"name": "q2"}), "unknown key 'name'"),
+    (dict(GOOD_SCENARIO, topology={"flush_messages": 1}), "unknown key 'flush_messages'"),
+    (dict(LOG_SCENARIO, qos=dict(LOG_SCENARIO["qos"], ack_mode="1")), "unknown key 'ack_mode'"),
+], ids=["log-misspelled", "log-string-partitions", "log-empty-batch", "exch-string-durable",
+        "exch-string-mirrors", "exch-name", "exch-log-key", "qos-ack-mode"])
+def test_verify_rejects_a_bad_topology_key(tmp_path, capsys, bad, named):
+    # an uncaught error would fail the test here rather than print a traceback
     assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
     assert named in capsys.readouterr().err
 
@@ -267,6 +284,23 @@ def test_model_fit_round_trip(tmp_path, capsys):
     fitted = json.loads(out.read_text())
     assert abs(fitted["constants"]["u_routing"] - 3.0e-5) / 3.0e-5 < 0.01
     assert fitted["mean_relative_error"] < 1e-6
+    # the written file is a constants file
+    rc = main(["model", "predict", "rabbit", "--producers", "1", "--size", "100",
+               "--constants", str(out)])
+    assert rc == 0 and abs(float(capsys.readouterr().out.splitlines()[-1]) - 32467.5) < 1.0
+
+
+@pytest.mark.parametrize("constants, named", [
+    ({"u_rooting": 3.2e-5, "u_byte": 7.6e-9}, "unknown key 'u_rooting'"),
+    ({"u_routing": "3.2e-5", "u_byte": 7.6e-9}, "u_routing must be a number"),
+    ({"u_routing": 3.2e-5, "u_topics": 1e-7, "u_byte": 7.6e-9}, "unknown key 'u_topics'"),
+    ([3.2e-5, 7.6e-9], "must be a JSON object"),
+], ids=["misspelled", "string", "the-other-form", "not-an-object"])
+def test_model_predict_rejects_a_bad_constants_file(tmp_path, capsys, constants, named):
+    consts = write_json(tmp_path / "fit.json", {"constants": constants})
+    rc = main(["model", "predict", "rabbit", "--producers", "1", "--size", "100",
+               "--constants", consts])
+    assert rc == 2 and named in capsys.readouterr().err
 
 
 def test_model_fit_underdetermined_exits_2(tmp_path):
@@ -339,6 +373,23 @@ def test_topo_section_that_is_not_a_list(tmp_path, capsys):
     every_section = {"exchanges": 1, "queues": 2, "bindings": 3}
     assert main(["topo", write_json(tmp_path / "t.json", every_section)]) == 1
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+# one misspelled key in each item kind, and in the file itself
+MISSPELLED = [
+    ("exchanges", {"name": "ex2", "kind": "fanout", "alternat": "ex"}, "alternat"),
+    ("queues", {"name": "q2", "durabel": True}, "durabel"),
+    ("bindings", {"exchange": "ex", "queue": "q", "routing_key": "a"}, "routing_key"),
+    ("bindngs", None, "bindngs"),
+]
+
+
+@pytest.mark.parametrize("section, item, key", MISSPELLED, ids=[m[0] for m in MISSPELLED])
+def test_topo_names_a_misspelled_key(tmp_path, capsys, section, item, key):
+    bad = dict(TOPOLOGY, **{section: [*TOPOLOGY.get(section, ()), *filter(None, [item])]})
+    assert main(["topo", write_json(tmp_path / "t.json", bad)]) == 1
+    (problem,) = capsys.readouterr().out.splitlines()
+    assert problem.endswith(f"unknown key {key!r}")
 
 
 def test_topo_missing_file():

@@ -1,11 +1,15 @@
 """Core types and the correctness checker, including the exhaustive
 brute-force equivalence check for small journals."""
 
+from __future__ import annotations
+
 import copy
 import dataclasses
 import itertools
 import json
 import pickle
+import re
+from typing import Optional
 
 import pytest
 
@@ -22,8 +26,11 @@ from duolog.core import (
     NegativeTtl,
     Ordering,
     QoSConfig,
+    ScenarioInvalid,
     ViolationKind,
     check_correctness,
+    check_keys,
+    from_keys,
     validate_message,
 )
 from duolog.harness import Phase, PhaseEvent
@@ -365,3 +372,53 @@ def test_brute_force_equivalence_small_journals(qos):
             ), combo
             checked += 1
     assert checked > 10_000
+
+
+# --------------------------------------------------------------------------
+# the file reader
+# --------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class FileItem:
+    name: str
+    count: int = 1
+    limit: Optional[int] = None
+    on: bool = False
+    names: tuple = ()
+    mode: Ordering = Ordering.NONE
+
+
+def test_from_keys_passes_only_the_keys_present():
+    assert from_keys(FileItem, {"name": "a"}, "item") == FileItem("a")
+    item = from_keys(FileItem, {"name": "a", "limit": None, "names": ["x"], "mode": "per_channel"},
+                     "item", names=tuple, mode=Ordering)
+    assert item == FileItem("a", limit=None, names=("x",), mode=Ordering.PER_CHANNEL)
+
+
+@pytest.mark.parametrize("d, refusal", [
+    ({"name": "a", "cuont": 2}, "item: unknown key 'cuont'"),
+    ({"name": "a", "count": True}, "item: count must be an integer, got True"),
+    ({"name": "a", "count": "2"}, "item: count must be an integer, got '2'"),
+    ({"name": "a", "count": 2.0}, "item: count must be an integer, got 2.0"),
+    ({"name": "a", "count": None}, "item: count must be an integer, got None"),
+    ({"name": "a", "limit": "5"}, "item: limit must be an integer or null, got '5'"),
+    ({"name": "a", "on": 1}, "item: on must be true or false, got 1"),
+    ({"name": "a", "on": "no"}, "item: on must be true or false, got 'no'"),
+    ({"name": 5}, "item: name must be a string, got 5"),
+    ({"name": "a", "names": "xy"}, "item: names must be a list, got 'xy'"),
+    ({"count": 2}, "missing 1 required positional argument: 'name'"),
+    (["name"], "item must be a JSON object, got ['name']"),
+])
+def test_from_keys_refuses_an_unknown_key_and_a_value_of_the_wrong_type(d, refusal):
+    with pytest.raises(ScenarioInvalid, match=re.escape(refusal)):
+        from_keys(FileItem, d, "item")
+
+
+def test_check_keys_reads_a_key_table():
+    keys = {"count": "int", "label": "str", "extra": "list"}
+    d = {"count": 3, "extra": 7}  # a type the reader has no rule for is taken as it is
+    assert check_keys(keys, d, "file") is d
+    with pytest.raises(ScenarioInvalid, match="file: unknown key 'cnt'"):
+        check_keys(keys, {"count": 3, "cnt": 3}, "file")
+    with pytest.raises(ScenarioInvalid, match="file: label must be a string"):
+        check_keys(keys, {"label": None}, "file")

@@ -3,6 +3,7 @@ consumption, acks, TTL, limits, spill, transactions and vhost isolation."""
 
 import itertools
 import random
+import re
 import sys
 import threading
 import time
@@ -16,6 +17,7 @@ from duolog.core import (
     Message,
     Ordering,
     QoSConfig,
+    ScenarioInvalid,
     check_correctness,
 )
 from duolog.exchbroker import (
@@ -969,6 +971,43 @@ def test_validate_topology_reports_problems():
     # a malformed item is reported, not raised; mirror names are the file's own
     assert len(validate_topology(dict(base, queues=[{"name": "q", "mirrors": 5}]))) == 1
     assert validate_topology(dict(base, queues=[{"name": "q", "mirrors": ["n1"]}])) == []
+
+
+@pytest.mark.parametrize("section, item, refusal", [
+    ("exchanges", {"name": "e2", "kind": "fanout", "alternat": "ex"}, "unknown key 'alternat'"),
+    ("queues", {"name": "q2", "max_lenght": 3}, "unknown key 'max_lenght'"),
+    ("queues", {"name": "q2", "durabel": True}, "unknown key 'durabel'"),
+    ("bindings", {"exchange": "ex", "queue": "q", "routing_key": "a"}, "unknown key 'routing_key'"),
+    ("exchanges", {"name": "e2", "kind": "fanout", "alternate": 5}, "alternate must be a string"),
+    ("queues", {"name": "q2", "durable": "no"}, "durable must be true or false"),
+    ("queues", {"name": "q2", "max_length": "3"}, "max_length must be an integer"),
+    ("queues", {"name": "q2", "spill_to_disk": 1}, "spill_to_disk must be true or false"),
+    ("queues", {"name": "q2", "mirrors": "n1"}, "mirrors must be a list"),
+    ("bindings", {"exchange": "ex", "queue": "q", "weight": True}, "weight must be an integer"),
+    ("queues", {"durable": True}, "missing 1 required positional argument: 'name'"),
+])
+def test_a_misspelled_or_mistyped_item_key_is_one_problem(section, item, refusal):
+    topology = dict(TOPOLOGY, **{section: [*TOPOLOGY[section], item]})
+    (problem,) = validate_topology(topology)
+    assert problem.startswith(f"{section[:-1]} {item!r}: ") and refusal in problem, problem
+    with pytest.raises(ScenarioInvalid, match=re.escape(refusal)):
+        make_engine().load_topology(topology)
+
+
+def test_a_file_queue_equals_the_same_queue_declared_in_code():
+    eng = make_engine()
+    eng.load_topology({"queues": [{"name": "q", "mirrors": ["n1"], "overflow": "reject_publish"}]})
+    spec = QueueSpec("q", mirrors=("n1",), overflow=OverflowPolicy.REJECT_PUBLISH)
+    assert eng.declare_queue(spec) == spec  # a redeclaration, not a conflict
+
+
+def test_an_unknown_topology_file_key_or_an_item_that_is_not_an_object_is_one_problem():
+    assert validate_topology(dict(TOPOLOGY, queues=[*TOPOLOGY["queues"], "q2"])) == [
+        "queue must be a JSON object, got 'q2'"
+    ]
+    assert validate_topology(dict(TOPOLOGY, bindngs=[])) == ["topology: unknown key 'bindngs'"]
+    with pytest.raises(ScenarioInvalid, match="unknown key 'bindngs'"):
+        make_engine().load_topology(dict(TOPOLOGY, bindngs=[]))
 
 
 @pytest.mark.parametrize("value", [5, "q", {"name": "q"}, None, True])

@@ -302,9 +302,11 @@ def test_scenario_file_round_trip_is_exact(engine):
 def test_scenario_file_defaults_are_the_dataclasses():
     s = Scenario.from_dict({"engine": "exch"})
     assert s == Scenario(engine="exch", workload=Workload(), qos=QoSConfig())
-    # an ack_mode under qos is still read, into the topology
-    s = Scenario.from_dict({"engine": "log", "qos": {"ack_mode": "quorum"}})
+    # the log's ack_mode is a topology key, and one under qos is unknown
+    s = Scenario.from_dict({"engine": "log", "topology": {"ack_mode": "quorum"}})
     assert s.topology == {"ack_mode": "quorum"} and s.qos == QoSConfig()
+    with pytest.raises(ScenarioInvalid, match="qos: unknown key 'ack_mode'"):
+        Scenario.from_dict({"engine": "log", "qos": {"ack_mode": "quorum"}})
 
 
 @pytest.mark.parametrize("bad", [
