@@ -100,7 +100,7 @@ _FILE_TYPES = {
 }
 
 
-def check_keys(keys: dict, d, where: str) -> dict:
+def check_keys(keys: dict, d, where: object) -> dict:
     """Return mapping `d` if each of its keys is in `keys` (key -> annotation)
     with a value of its file type; else raise `ScenarioInvalid` naming the
     first key that is unknown or mistyped."""
@@ -118,14 +118,29 @@ def _key_table(cls) -> dict:
     return {f.name: f.type for f in fields(cls)}
 
 
-def from_keys(cls, d, where: str, **read):
+def from_keys(cls, d, where: object, **read):
     """Build dataclass `cls` from file mapping `d` as `check_keys` vets it
     against the fields, passing only the keys present so every default stays
     the dataclass's; `read` maps a key to the function that converts its
-    value.  A missing key without a default raises `ScenarioInvalid` too."""
+    value.  A value its converter refuses, and a missing key without a
+    default, raise `ScenarioInvalid` too, naming the key.  `where` names
+    the mapping, and is formatted only into a refusal."""
     check_keys(_key_table(cls), d, where)
+    args = {}
+    for k, v in d.items():
+        convert = read.get(k)
+        if convert is not None:
+            try:
+                v = convert(v)
+            except ScenarioInvalid:
+                raise
+            except ValueError as e:
+                why = (f" must be one of {[m.value for m in convert]}, got {v!r}"
+                       if isinstance(convert, type) and issubclass(convert, Enum) else f": {e}")
+                raise ScenarioInvalid(f"{where}: {k}{why}") from None
+        args[k] = v
     try:
-        return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
+        return cls(**args)
     except TypeError as e:
         raise ScenarioInvalid(f"{where}: {e}") from None
 

@@ -26,9 +26,9 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import BrokerContract, BrokerDown, Clock, Message, ScenarioInvalid, spin_ns
 from .core import check_keys, file_mapping, from_keys, validate_message
@@ -146,22 +146,45 @@ class BindingSpec:
             raise ValueError("weight must be >= 1")
 
 
-@dataclass(frozen=True)
-class Confirm:
+# A publish returns one `Confirm` and a pull one `Delivery` per message, so
+# both are named tuples built with `tuple.__new__`: no Python-level
+# `__new__`, and not one `object.__setattr__` per field as a frozen
+# dataclass pays.  On 3.11 a build costs under a third of a slotted
+# dataclass's, which the slower field reads do not give back.  The fields,
+# their order, the repr and equality between records are the dataclasses',
+# and setting or deleting any attribute raises `FrozenInstanceError`.
+
+def _frozen_setattr(self: tuple, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: tuple, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Confirm(NamedTuple):
     ack: bool
     publish_seq: int
     routed_count: int
     reason: Optional[str] = None
 
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-@dataclass(frozen=True)
-class Delivery:
+
+class Delivery(NamedTuple):
     tag: int
     queue: str
     consumer_id: str
     message: Message
     redelivered: bool
     from_spill: bool
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+
+_new_tuple = tuple.__new__  # builds a `Confirm` or a `Delivery`
 
 
 @dataclass(frozen=True)
@@ -218,10 +241,36 @@ class _TopicNode:
         self.any: tuple[_TopicNode, ...] = (self,) if absorbs else ()
 
 
+class _TopicState:
+    """One state of a trie's lazily determinized walk: the set of trie nodes
+    active after some key prefix, closed over "#", and the queues their
+    bindings name.  `next` has a slot per word that is a literal edge of one
+    of the nodes, None until that step is first taken; every other word
+    leads to `other`, None until first taken too."""
+
+    __slots__ = ("nodes", "queues", "next", "other")
+
+    def __init__(self, nodes: frozenset) -> None:
+        self.nodes = nodes
+        self.queues: frozenset[str] = frozenset().union(*[node.queues for node in nodes])
+        self.next: dict[str, Optional[_TopicState]] = dict.fromkeys(
+            word for node in nodes for word in node.words
+        )
+        self.other: Optional[_TopicState] = None
+
+
+# the most states a trie keeps, per trie node; past it a step is computed
+# and not kept, so memory stays bounded by the bindings whatever the keys
+_STATES_PER_NODE = 4
+
+
 class _TopicTrie:
     """Topic patterns compiled into a segment trie, as RabbitMQ's topic
-    exchange does: a key walks its segments once, following only the
-    branches that can still match, whatever the number of bindings.  It
+    exchange does, and matched by the subset construction (Rabin & Scott,
+    1959) applied lazily: a key walks one state per segment, and a step
+    between states is computed from the trie on first use and then looked
+    up.  A step costs one dict lookup whatever the number of bindings, and
+    the states kept are at most `_STATES_PER_NODE` per trie node.  It
     agrees with `match_topic`, which stays the reference."""
 
     def __init__(self, bindings: Iterable[BindingSpec]) -> None:
@@ -247,24 +296,43 @@ class _TopicTrie:
                 node.closure += node.hash.closure
             if node.star is not None:
                 node.any += node.star.closure
-        # a walk holds each node at most once; a longer step has repeats
-        self._bound = len(nodes)
+        self._cap = _STATES_PER_NODE * len(nodes)
+        self._states: dict[frozenset, _TopicState] = {}
+        self._lock = threading.Lock()  # serializes steps taken for the first time
+        self._start = self._state(frozenset(self.root.closure))
 
     def match(self, routing_key: Optional[str]) -> frozenset[str]:
-        active = self.root.closure
+        state = self._start
         for word in routing_key.split(".") if routing_key else ():
-            step: list[_TopicNode] = []
-            for node in active:
-                step += node.any
-                child = node.words.get(word)
-                if child is not None:
-                    step += child.closure
-            if not step:
-                return frozenset()
-            if len(step) > self._bound:
-                step = list(dict.fromkeys(step))
-            active = step
-        return frozenset().union(*[node.queues for node in active])
+            nxt = state.next.get(word, state.other)
+            state = self._step(state, word) if nxt is None else nxt
+        return state.queues
+
+    def _step(self, state: _TopicState, word: str) -> _TopicState:
+        """The state after `word`, kept as `state`'s step if both are kept."""
+        literal = word in state.next
+        step: list[_TopicNode] = []
+        for node in state.nodes:
+            step += node.any
+            child = node.words.get(word) if literal else None
+            if child is not None:
+                step += child.closure
+        with self._lock:
+            nxt = self._state(frozenset(step))
+            if self._states.get(nxt.nodes) is nxt:
+                if literal:
+                    state.next[word] = nxt
+                else:
+                    state.other = nxt
+        return nxt
+
+    def _state(self, nodes: frozenset) -> _TopicState:
+        state = self._states.get(nodes)
+        if state is None:
+            state = _TopicState(nodes)
+            if len(self._states) < self._cap:
+                self._states[nodes] = state
+        return state
 
 
 # --------------------------------------------------------------------------
@@ -638,7 +706,7 @@ class ExchEngine(BrokerContract):
         self.fsync_latency_ns = FSYNC_LATENCY_NS if real else 0
         self.mirror_sync_ns = MIRROR_SYNC_NS if real else 0
         self.memory_budget_bytes = memory_budget_bytes
-        self._next_tag = 1
+        self._tags = itertools.count(1)  # delivery tags; `next` is atomic
         self._next_queue_node = 0
         self._lock = threading.RLock()
         self._flow_cond = threading.Condition(self._lock)
@@ -825,7 +893,7 @@ class ExchEngine(BrokerContract):
             queues = self.route(exchange, msg, vhost=channel.vhost)
         except Unroutable:
             # the broker verified the message routes nowhere: confirm now
-            return Confirm(ack=True, publish_seq=seq, routed_count=0, reason="unroutable")
+            return _new_tuple(Confirm, (True, seq, 0, "unroutable"))
 
         vh = self._vhost(channel.vhost)
         targets: list[_Queue] = [vh.queues[name] for name in sorted(queues)]
@@ -879,12 +947,14 @@ class ExchEngine(BrokerContract):
             if kept < len(targets):
                 self.bodies.release(body_id, len(targets) - kept)
 
-        for q in targets:
-            self._pump(q)
-        self._flow_update()
+        if self._pushers:
+            for q in targets:
+                self._pump(q)
+        if self.memory_budget_bytes is not None:
+            self._flow_update()
         if rejected:
-            return Confirm(ack=False, publish_seq=seq, routed_count=accepted, reason="queue full")
-        return Confirm(ack=True, publish_seq=seq, routed_count=accepted)
+            return _new_tuple(Confirm, (False, seq, accepted, "queue full"))
+        return _new_tuple(Confirm, (True, seq, accepted, None))
 
     # -- consumption ----------------------------------------------------------
 
@@ -925,7 +995,9 @@ class ExchEngine(BrokerContract):
         self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
-        """Demand-driven delivery; empty list when the queue has nothing."""
+        """Demand-driven delivery; empty list when the queue has nothing.
+        Expiry runs once, at one clock reading, before up to `max_n` heads
+        are taken, as it would before each of them."""
         q = self._queue(vhost, queue)
         out: list[Delivery] = []
         with q.lock:
@@ -934,15 +1006,17 @@ class ExchEngine(BrokerContract):
             cons = q.consumers.get(consumer_id)
             if cons is None:
                 raise ExchError(f"consumer {consumer_id} not attached to {queue}")
-            now = self.clock()
-            for _ in range(max_n):
-                if not cons.auto_ack and cons.unacked >= cons.prefetch:
-                    break
-                d = self._deliver_next(q, cons, now)
-                if d is None:
-                    break
-                out.append(d)
-        self._flow_update()  # expiry and auto-ack released bodies
+            n = max_n if cons.auto_ack else min(max_n, cons.prefetch - cons.unacked)
+            if n > 0:
+                expired = q.expire(self.clock())
+                if expired:
+                    self._drop(expired)
+                entries = q.entries
+                while n and entries:
+                    out.append(self._deliver(q, cons, q.pop_head()))
+                    n -= 1
+        if self.memory_budget_bytes is not None:
+            self._flow_update()  # expiry and auto-ack released bodies
         return out
 
     def drain_pushed(self, queue: str, consumer_id: str, vhost: str = "/") -> list[Delivery]:
@@ -956,22 +1030,22 @@ class ExchEngine(BrokerContract):
             return out
 
     def ack(self, queue: str, tag: int, vhost: str = "/") -> None:
-        self.nack(queue, tag, requeue=False, vhost=vhost)
+        """Settle a delivery for good: release its body reference."""
+        q = self._queue(vhost, queue)
+        with q.lock:
+            self.bodies.release(self._settle(q, tag).body_id, 1)
+        if self._pushers:
+            self._pump(q)
+        if self.memory_budget_bytes is not None:
+            self._flow_update()
 
     def nack(self, queue: str, tag: int, requeue: bool = True, vhost: str = "/") -> None:
         """Settle a delivery: requeue it, or, as `ack` does, release it."""
+        if not requeue:
+            return self.ack(queue, tag, vhost)
         q = self._queue(vhost, queue)
         with q.lock:
-            if tag not in q.unacked:
-                raise UnknownTag(str(tag))
-            entry, cid = q.unacked.pop(tag)
-            cons = q.consumers.get(cid)
-            if cons is not None and cons.unacked > 0:
-                cons.unacked -= 1
-            if requeue:
-                self._requeue(q, entry)
-            else:
-                self.bodies.release(entry.body_id, 1)
+            self._requeue(q, self._settle(q, tag))
         self._pump(q)
         self._flow_update()
 
@@ -1017,9 +1091,11 @@ class ExchEngine(BrokerContract):
         self._drop(q.expire(now))
         if not q.entries:
             return None
-        entry = q.pop_head()
-        tag = self._next_tag
-        self._next_tag += 1
+        return self._deliver(q, cons, q.pop_head())
+
+    def _deliver(self, q: _Queue, cons: _Consumer, entry: _Entry) -> Delivery:
+        """Deliver an entry taken off the queue's head to `cons`."""
+        tag = next(self._tags)
         entry.delivery_count += 1
         delivery = self._delivery(q, entry, tag, cons.consumer_id, entry.delivery_count > 1)
         if cons.auto_ack:
@@ -1028,6 +1104,17 @@ class ExchEngine(BrokerContract):
             q.unacked[tag] = (entry, cons.consumer_id)
             cons.unacked += 1
         return delivery
+
+    def _settle(self, q: _Queue, tag: int) -> _Entry:
+        """Take an unacked delivery off its queue's and consumer's counts."""
+        settled = q.unacked.pop(tag, None)
+        if settled is None:
+            raise UnknownTag(str(tag))
+        entry, cid = settled
+        cons = q.consumers.get(cid)
+        if cons is not None and cons.unacked > 0:
+            cons.unacked -= 1
+        return entry
 
     def _delivery(
         self, q: _Queue, entry: _Entry, tag: int, consumer_id: str, redelivered: bool
@@ -1048,14 +1135,7 @@ class ExchEngine(BrokerContract):
             entry.flow, entry.seq, memoryview(payload).tobytes(), None,
             entry.routing_key, entry.headers, entry.produced_at, entry.ttl_ms,
         )
-        return Delivery(
-            tag=tag,
-            queue=q.spec.name,
-            consumer_id=consumer_id,
-            message=message,
-            redelivered=redelivered,
-            from_spill=from_spill,
-        )
+        return _new_tuple(Delivery, (tag, q.spec.name, consumer_id, message, redelivered, from_spill))
 
     def _requeue(self, q: _Queue, entry: _Entry) -> None:
         """Put a delivered entry back in its place; a copy of it already
@@ -1177,6 +1257,20 @@ _TOPOLOGY_KEYS = {"vhost": "str", "exchanges": "list", "queues": "list", "bindin
 _ITEM_ERRORS = (ExchError, AttributeError, TypeError, ValueError)
 
 
+class _Where:
+    """A topology item's name in a refusal, "kind item": formatted only when
+    an item is refused, as the item's repr costs more than reading it."""
+
+    __slots__ = ("kind", "item")
+
+    def __init__(self, kind: str, item: object) -> None:
+        self.kind = kind
+        self.item = item
+
+    def __str__(self) -> str:
+        return f"{self.kind} {self.item!r}"
+
+
 def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, Exception]]:
     """Declare each item of a topology mapping on `engine`, in load order:
     exchanges, then queues, then bindings.  `from_keys` reads each item into
@@ -1199,13 +1293,14 @@ def _load(engine: ExchEngine, topology: dict) -> Iterator[tuple[str, Exception]]
         if not isinstance(items, (list, tuple)):
             yield "topology", ExchError(f"{section} must be a list, got {items!r}")
             continue
+        kind = section[:-1]
         for item in items:
-            where = f"{section[:-1]} {item!r}"
+            where = _Where(kind, item)
             try:
-                item = {**file_vhost, **file_mapping(item, section[:-1])}
+                item = {**file_vhost, **file_mapping(item, kind)}
                 declare(from_keys(spec_class, item, where, **read))
             except _ITEM_ERRORS as e:
-                yield where, e
+                yield str(where), e
 
 
 def validate_topology(topology: dict) -> list[str]:

@@ -205,9 +205,15 @@ class Scenario:
             qos=lambda q: from_keys(QoSConfig, q, "qos", delivery=Delivery, ordering=Ordering),
             topology=lambda t: dict(file_mapping(t, "topology")),
             faults=lambda fs: FaultPlan(
-                tuple(from_keys(FaultEvent, f, "fault", kind=FaultKind) for f in fs)
+                tuple(from_keys(FaultEvent, f, "fault", kind=FaultKind) for f in _fault_list(fs))
             ),
         )
+
+
+def _fault_list(faults) -> list:
+    if not isinstance(faults, list):
+        raise ScenarioInvalid(f"scenario: faults must be a list, got {faults!r}")
+    return faults
 
 
 @dataclass

@@ -83,7 +83,16 @@ def test_verify_lossy_configuration_fails(tmp_path, capsys, lossy):
     (dict(GOOD_SCENARIO, drain_deadline=10), "'drain_deadline'"),
     (dict(LOG_SCENARIO, topology=dict(LOG_SCENARIO["topology"], ack_mode="all")), "'quorum'"),
     ({"engine": "exch", "workload": {"producers": "2"}}, "producers must be an integer"),
-], ids=["misspelled-key", "unknown-ack-mode", "string-for-an-integer"])
+    # a value its key's reader refuses names the key and its choices
+    (dict(GOOD_SCENARIO, topology={"overflow": "bogus"}),
+     "overflow must be one of ['drop_oldest', 'reject_publish'], got 'bogus'"),
+    (dict(GOOD_SCENARIO, qos={"delivery": "bogus"}), "qos: delivery must be one of"),
+    (dict(GOOD_SCENARIO, qos={"ordering": "bogus"}), "qos: ordering must be one of"),
+    (dict(GOOD_SCENARIO, faults=[{"kind": "bogus"}]), "fault: kind must be one of"),
+    (dict(GOOD_SCENARIO, faults={"kind": "drop_ack"}),
+     "scenario: faults must be a list, got {'kind': 'drop_ack'}"),
+], ids=["misspelled-key", "unknown-ack-mode", "string-for-an-integer", "exch-overflow",
+        "qos-delivery", "qos-ordering", "fault-kind", "faults-not-a-list"])
 def test_verify_rejects_a_bad_scenario_file(tmp_path, capsys, bad, named):
     assert main(["verify", write_json(tmp_path / "s.json", bad)]) == 2
     assert named in capsys.readouterr().err
@@ -390,6 +399,18 @@ def test_topo_names_a_misspelled_key(tmp_path, capsys, section, item, key):
     assert main(["topo", write_json(tmp_path / "t.json", bad)]) == 1
     (problem,) = capsys.readouterr().out.splitlines()
     assert problem.endswith(f"unknown key {key!r}")
+
+
+@pytest.mark.parametrize("bad, named", [
+    (dict(TOPOLOGY, exchanges=[{"name": "ex", "kind": "bogus"}]),
+     "kind must be one of ['direct', 'fanout', 'topic', 'headers', 'consistent_hash'], got 'bogus'"),
+    (dict(TOPOLOGY, bindings=[{"exchange": "ex", "queue": "q", "match_mode": "some"}]),
+     "match_mode must be one of ['all', 'any'], got 'some'"),
+], ids=["exchange-kind", "match-mode"])
+def test_topo_names_the_key_of_a_value_it_cannot_read(tmp_path, capsys, bad, named):
+    assert main(["topo", write_json(tmp_path / "t.json", bad)]) == 1
+    # a binding to an exchange that failed to load is a second problem
+    assert named in capsys.readouterr().out.splitlines()[0]
 
 
 def test_topo_missing_file():

@@ -414,6 +414,30 @@ def test_from_keys_refuses_an_unknown_key_and_a_value_of_the_wrong_type(d, refus
         from_keys(FileItem, d, "item")
 
 
+def test_from_keys_names_the_key_whose_value_its_reader_refuses():
+    with pytest.raises(ScenarioInvalid, match=re.escape(
+            "item: mode must be one of ['none', 'per_partition', 'per_channel', "
+            "'global_single_lane'], got 'sideways'")):
+        from_keys(FileItem, {"name": "a", "mode": "sideways"}, "item", mode=Ordering)
+
+    def positive(v):
+        if v < 1:
+            raise ValueError(f"{v} is below 1")
+        return v
+
+    with pytest.raises(ScenarioInvalid, match=re.escape("item: count: 0 is below 1")):
+        from_keys(FileItem, {"name": "a", "count": 0}, "item", count=positive)
+    # a reader's own refusal already names what it read, and passes through
+    refusal = ScenarioInvalid("inner: unknown key 'x'")
+
+    def nested(v):
+        raise refusal
+
+    with pytest.raises(ScenarioInvalid) as caught:
+        from_keys(FileItem, {"name": "a", "names": []}, "item", names=nested)
+    assert caught.value is refusal
+
+
 def test_check_keys_reads_a_key_table():
     keys = {"count": "int", "label": "str", "extra": "list"}
     d = {"count": 3, "extra": 7}  # a type the reader has no rule for is taken as it is

@@ -1,6 +1,7 @@
 """Exchange engine: declarations, routing, wildcard matching, confirms,
 consumption, acks, TTL, limits, spill, transactions and vhost isolation."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -22,7 +23,9 @@ from duolog.core import (
 )
 from duolog.exchbroker import (
     BindingSpec,
+    Confirm,
     ConsumeMode,
+    Delivery,
     ExchEngine,
     ExchError,
     ExchangeKind,
@@ -38,6 +41,7 @@ from duolog.exchbroker import (
     match_topic,
     validate_topology,
 )
+from duolog.exchbroker import _STATES_PER_NODE, _TopicTrie
 
 
 def make_engine(**kw):
@@ -299,6 +303,154 @@ def test_topic_bind_after_publish_refreshes_routes_and_alternate():
     assert eng.route("ex", msg(rk="b.c")) == frozenset({"late"})
     assert eng.route("ex", msg(rk="a.c")) == frozenset({"early", "late"})
     assert eng.publish(chan, "ex", msg(1, rk="a.c")).routed_count == 2
+
+
+def trie_of(patterns):
+    """A topic trie binding pattern i to queue "q{i}"."""
+    return _TopicTrie(
+        BindingSpec("ex", f"q{i}", pattern=pattern) for i, pattern in enumerate(patterns)
+    )
+
+
+def oracle_queues(patterns, key):
+    return {f"q{i}" for i, pattern in enumerate(patterns) if match_topic(pattern, key)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_topic_automaton_equals_match_topic_on_random_binding_sets(seed):
+    # patterns with several "*" and "#"; keys of up to 6 segments mixing
+    # the patterns' literals with words no pattern names
+    rng = random.Random(seed)
+    patterns = [
+        ".".join(rng.choice(("a", "b", "c", "*", "#")) for _ in range(rng.randint(0, 5)))
+        for _ in range(rng.randint(1, 12))
+    ]
+    trie = trie_of(patterns)
+    keys = [
+        ".".join(rng.choice(("a", "b", "c", "x", "yy")) for _ in range(rng.randint(0, 6)))
+        for _ in range(300)
+    ]
+    for key in keys + keys:  # the second pass walks memoized steps
+        assert trie.match(key) == oracle_queues(patterns, key), (patterns, key)
+    assert trie.match(None) == oracle_queues(patterns, "")
+
+
+def test_a_repeated_key_walks_its_memoized_steps_to_the_same_answer():
+    patterns = ["a.*.c", "a.#", "#.c", "b.b"]
+    trie = trie_of(patterns)
+    first = trie.match("a.zz.c")
+    states = dict(trie._states)
+    walked = trie._start.next["a"]
+    assert walked is not None and walked.other is not None  # both steps kept
+    assert trie.match("a.zz.c") is first == oracle_queues(patterns, "a.zz.c")
+    # a word no pattern names shares the step of every such word
+    assert trie.match("a.qq.c") is first and trie._states == states
+
+
+def test_a_bind_after_routing_is_seen_by_the_next_route():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    for q in ("one", "two"):
+        eng.declare_queue(QueueSpec(q))
+    eng.bind(BindingSpec("ex", "one", pattern="a.*"))
+    for _ in range(2):  # the second route walks memoized steps
+        assert eng.route("ex", msg(rk="a.b")) == frozenset({"one"})
+    eng.bind(BindingSpec("ex", "two", pattern="#.b"))
+    assert eng.route("ex", msg(rk="a.b")) == frozenset({"one", "two"})
+    assert eng.route("ex", msg(rk="z.b")) == frozenset({"two"})
+
+
+def test_topic_automaton_keeps_at_most_its_cap_of_states_and_stays_exact():
+    # "the 8th segment from the end is a" needs 2^8 states once
+    # determinized; the trie has 14 nodes: the root, "#", and the 8 and 4
+    # nodes after "#" of each pattern
+    patterns = ["#.a" + ".*" * 7, "#.b.#.a.*"]
+    trie = trie_of(patterns)
+    cap = _STATES_PER_NODE * 14
+    rng = random.Random(7)
+    keys = [".".join(rng.choice("ab") for _ in range(rng.randint(0, 24))) for _ in range(600)]
+    for key in keys + keys:
+        assert trie.match(key) == oracle_queues(patterns, key), key
+    assert trie._cap == cap and len(trie._states) == cap
+
+
+def test_confirm_and_delivery_keep_their_fields_repr_equality_and_frozenness():
+    confirm = Confirm(ack=True, publish_seq=3, routed_count=2)
+    assert Confirm._fields == ("ack", "publish_seq", "routed_count", "reason")
+    assert repr(confirm) == "Confirm(ack=True, publish_seq=3, routed_count=2, reason=None)"
+    assert confirm == Confirm(True, 3, 2, None) and confirm != Confirm(True, 3, 2, "queue full")
+    m = msg(0, rk="k")
+    delivery = Delivery(tag=1, queue="q", consumer_id="c", message=m, redelivered=False,
+                        from_spill=False)
+    assert Delivery._fields == (
+        "tag", "queue", "consumer_id", "message", "redelivered", "from_spill")
+    assert repr(delivery) == (
+        f"Delivery(tag=1, queue='q', consumer_id='c', message={m!r}, redelivered=False, "
+        "from_spill=False)")
+    assert delivery == Delivery(1, "q", "c", msg(0, rk="k"), False, False)
+    assert delivery != Delivery(2, "q", "c", m, False, False)
+    for record, name in ((confirm, "ack"), (delivery, "tag"), (delivery, "other")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    # the engine builds the same records
+    eng = make_engine()
+    chan = direct_setup(eng)
+    assert eng.publish(chan, "ex", m) == Confirm(True, 1, 1)
+    assert eng.publish(chan, "ex", msg(1, rk="nobody")) == Confirm(True, 2, 0, "unroutable")
+    (got,) = eng.consume("q0", "c", ConsumeMode.PULL).pull()
+    assert got == Delivery(got.tag, "q0", "c", m, False, False)
+
+
+def test_ack_of_an_unknown_or_settled_tag_raises_unknown_tag():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    for seq in range(3):
+        eng.publish(chan, "ex", msg(seq, rk="k"))
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=3)
+    first, second, third = cons.pull(3)
+    with pytest.raises(UnknownTag):
+        cons.ack(third.tag + 100)
+    cons.ack(first.tag)
+    cons.nack(second.tag, requeue=False)  # settled as an ack is
+    for tag in (first.tag, second.tag):
+        with pytest.raises(UnknownTag):
+            cons.ack(tag)
+        with pytest.raises(UnknownTag):
+            cons.nack(tag)
+    assert eng.unacked_count("q0") == 1 and eng.queue_depth("q0") == 0
+    cons.ack(third.tag)
+    assert eng.bodies.count() == 0
+
+
+@pytest.mark.parametrize("auto_ack", [False, True])
+def test_a_pull_across_expired_entries_delivers_what_one_delivery_at_a_time_does(auto_ack):
+    # a push consumer takes one head at a time, expiring before each; a pull
+    # expires once and takes its heads in one loop.  Both read the clock once.
+    def engine_at(now):
+        eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none")
+        eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+        eng.declare_queue(QueueSpec("q0", default_ttl=50))
+        eng.bind(BindingSpec("ex", "q0", key="k"))
+        chan = eng.channel()
+        rng = random.Random(3)
+        for seq in range(40):
+            now[0] = seq * 1_000_000
+            ttl = rng.choice((None, 0, 5, 20, 100))
+            eng.publish(chan, "ex", msg(seq, flow=f"f{seq % 3}", rk="k", ttl=ttl))
+        now[0] = 45 * 1_000_000
+        return eng
+
+    pulled_eng, pushed_eng = engine_at([0]), engine_at([0])
+    # up to the prefetch, or, with auto-ack, everything left
+    pulled = pulled_eng.consume("q0", "c", ConsumeMode.PULL, prefetch=12, auto_ack=auto_ack).pull(40)
+    pushed = pushed_eng.consume("q0", "c", ConsumeMode.PUSH, prefetch=12, auto_ack=auto_ack).drain()
+    assert pulled == pushed and 0 < len(pulled) < 40
+    for eng in (pulled_eng, pushed_eng):
+        assert eng.queue_depth("q0") + len(pulled) < 40  # some expired
+    assert pulled_eng.queue_depth("q0") == pushed_eng.queue_depth("q0")
+    assert pulled_eng.bodies.count() == pushed_eng.bodies.count()
 
 
 # --------------------------------------------------------------------------
