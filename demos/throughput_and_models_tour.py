@@ -21,7 +21,7 @@ for r in results:
           f"p50 {r.latency.p50_ms:.2f} ms")
 
 out = Path(tempfile.mkdtemp()) / "sweep.csv"
-export(results, out, "CSV")
+export(results, out)
 print(f"exported to {out}")
 
 print("\n=== fit the exchange-form model to the measured sweep ===")

@@ -38,10 +38,24 @@ def test_traced_time_metrics_are_scaled_by_host_speed_and_the_rest_kept():
     traced = {"a.cpu_us_per_msg": 10.0, "driver.lat_p99_ms": 2.0, "a.calls": 3.0,
               "driver.host_speed": 0.5}
     got = ab.values(ab.last_result(run_output(traced)), units)
-    assert got == {"a.cpu_us_per_msg": 5.0, "driver.lat_p99_ms": 2.0, "a.calls": 3.0,
-                   "driver.host_speed": 0.5}
+    assert got == {"a.cpu_us_per_msg": 5.0, "a.cpu_us_per_msg.raw": 10.0,
+                   "driver.lat_p99_ms": 2.0, "a.calls": 3.0, "driver.host_speed": 0.5}
     untraced = {"a.cpu_us_per_msg": 10.0}
     assert ab.values(ab.last_result(run_output(untraced)), units) == untraced
+
+
+def test_a_traced_comparison_reads_each_scaled_metric_and_its_raw_twin():
+    benchmark = {
+        "end_to_end": [{"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
+        "per_layer": [
+            {"name": "driver.lat_p99_ms", "unit": "ms", "better": "lower"},
+            {"name": "a.cpu_us_per_msg", "unit": "us", "better": "lower"},
+            {"name": "a.calls", "unit": "count", "better": "lower"},
+        ],
+    }
+    assert ab.gated(benchmark, False) == {"throughput_per_s": ("higher", 0.25, "1/s")}
+    assert list(ab.gated(benchmark, True)) == [
+        "driver.lat_p99_ms", "a.cpu_us_per_msg", "a.cpu_us_per_msg.raw", "a.calls"]
 
 
 def test_quartiles_are_inclusive():
@@ -103,4 +117,30 @@ def test_record_appends_an_entry_in_the_trajectory_shape(tmp_path):
     assert metric["parent"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
     assert metric["change_better_pairs"] == 10
     assert set(metric) == {"parent", "change", "parent_iqr_share", "change_vs_parent_median",
-                           "change_better_pairs"}
+                           "ratio_ci95", "change_better_pairs"}
+    lo, hi = metric["ratio_ci95"]
+    assert 0 < lo <= metric["change_vs_parent_median"] <= hi
+
+
+def test_the_bootstrap_interval_of_canned_runs_is_seeded_and_brackets_the_median_ratio():
+    parent = [100.0, 104.0, 98.0, 101.0, 103.0, 99.0, 102.0, 97.0, 105.0, 100.5]
+    change = [112.0, 115.0, 111.0, 118.0, 109.0, 113.0, 116.0, 110.0, 114.0, 117.0]
+    units = {"throughput_per_s": "1/s"}
+    pairs = [
+        (ab.values(ab.last_result(run_output({"throughput_per_s": p})), units)["throughput_per_s"],
+         ab.values(ab.last_result(run_output({"throughput_per_s": c})), units)["throughput_per_s"])
+        for p, c in zip(parent, change)
+    ]
+    s = ab.compare(pairs, "higher", 0.25)
+    lo, hi = s["ratio_ci95"]
+    assert 0 < lo < s["change_vs_parent_median"] < hi
+    # the bounds are ratios some resample's medians can take
+    assert lo >= min(change) / max(parent) - 1 and hi <= max(change) / min(parent) - 1
+    assert ab.bootstrap_ratio(pairs) == ab.bootstrap_ratio(pairs) == (lo, hi)  # seeded
+    assert "ci95 [" in ab.report("throughput_per_s", s)
+
+
+def test_the_bootstrap_interval_of_an_a_a_run_is_zero_and_of_one_pair_its_ratio():
+    assert ab.bootstrap_ratio([(5.0, 5.0), (7.0, 7.0), (6.0, 6.0)]) == (0.0, 0.0)
+    assert ab.bootstrap_ratio([(10.0, 11.0)]) == pytest.approx((0.1, 0.1))
+    assert ab.bootstrap_ratio([(0.0, 1.0)] * 4) == (0.0, 0.0)  # no parent median, no ratio

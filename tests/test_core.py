@@ -27,13 +27,14 @@ from duolog.core import (
     Ordering,
     QoSConfig,
     ScenarioInvalid,
+    Violation,
     ViolationKind,
     check_correctness,
     check_keys,
     from_keys,
     validate_message,
 )
-from duolog.harness import Phase, PhaseEvent
+from duolog.harness import Phase, PhaseEvent, random_scenario, run_scenario
 
 P, C, D = JournalEvent.PRODUCED, JournalEvent.CONFIRMED, JournalEvent.DELIVERED
 
@@ -372,6 +373,128 @@ def test_brute_force_equivalence_small_journals(qos):
             ), combo
             checked += 1
     assert checked > 10_000
+
+
+# --------------------------------------------------------------------------
+# the checker against the named-tuple checker it replaced
+# --------------------------------------------------------------------------
+
+def reference_check_correctness(produced: Journal, consumed: Journal, qos: QoSConfig):
+    """The checker as it was before it read exact tuples: `JournalEntry`
+    fields by name, a delivery count per key, and a seen set per flow."""
+    produced_entries = produced.entries
+    consumed_entries = consumed.entries
+
+    produced_flows = {e.flow for e in produced_entries}
+    stray = {e.flow for e in consumed_entries} - produced_flows
+    if stray:
+        raise MismatchedFlows(f"consumed journal has unknown flows: {sorted(stray)}")
+
+    produced_set = set()
+    confirmed = set()
+    for e in produced_entries:
+        if e.event is JournalEvent.PRODUCED:
+            if (e.flow, e.seq) in produced_set:
+                raise ValueError(
+                    f"production journal must be duplicate-free, saw {(e.flow, e.seq)} twice"
+                )
+            produced_set.add((e.flow, e.seq))
+        elif e.event is JournalEvent.CONFIRMED:
+            confirmed.add((e.flow, e.seq))
+
+    delivered_count = {}
+    for e in consumed_entries:
+        if e.event is JournalEvent.DELIVERED:
+            delivered_count[(e.flow, e.seq)] = delivered_count.get((e.flow, e.seq), 0) + 1
+
+    violations = []
+    for flow, seq in sorted(produced_set & confirmed):
+        if delivered_count.get((flow, seq), 0) == 0:
+            violations.append(
+                Violation(flow, seq, ViolationKind.LOSS, "confirmed but never delivered")
+            )
+    for (flow, seq), n in sorted(delivered_count.items()):
+        if n > 1:
+            violations.append(
+                Violation(flow, seq, ViolationKind.DUPLICATION, f"delivered {n} times")
+            )
+    if qos.ordering is not Ordering.NONE:
+        seen = {}
+        max_first = {}
+        for e in consumed_entries:
+            if e.event is not JournalEvent.DELIVERED:
+                continue
+            flow_seen = seen.setdefault(e.flow, set())
+            if e.seq in flow_seen:
+                continue
+            flow_seen.add(e.seq)
+            prev = max_first.get(e.flow)
+            if prev is not None and e.seq < prev:
+                violations.append(
+                    Violation(e.flow, e.seq, ViolationKind.DISORDER,
+                              f"first delivery after seq {prev} was already seen")
+                )
+            else:
+                max_first[e.flow] = e.seq
+    return CorrectnessReport.from_violations(violations)
+
+
+def outcome(checker, produced, consumed, qos):
+    """A checker's report, or the type and text of what it raised."""
+    try:
+        return checker(produced, consumed, qos)
+    except ValueError as e:  # MismatchedFlows is one
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_checker_reports_equal_the_reference_on_random_scenarios(engine):
+    violated = 0
+    for seed in range(200):
+        s = random_scenario(engine, seed)
+        res = run_scenario(s)
+        for qos in (s.qos, QOS_UNORDERED):
+            got = check_correctness(res.produced, res.consumed, qos)
+            assert got == reference_check_correctness(res.produced, res.consumed, qos), seed
+            violated += bool(got.violations)
+    assert violated  # the seeds reach reports with violations, not only clean ones
+
+
+HAND_BUILT = {
+    # every kind at once over two flows, deliveries of each flow interleaved
+    "every kind": (
+        [("a", s, ev) for s in range(4) for ev in (P, C)] + [("b", s, ev) for s in range(3) for ev in (P, C)],
+        [("a", 0, D), ("b", 1, D), ("a", 2, D), ("b", 0, D), ("a", 1, D), ("a", 2, D),
+         ("b", 1, D), ("a", 0, D), ("b", 1, D)],
+    ),
+    "loss only": ([("f", s, ev) for s in range(5) for ev in (P, C)], [("f", s, D) for s in (0, 2, 4)]),
+    "duplication only": ([("f", s, ev) for s in range(2) for ev in (P, C)],
+                         [("f", 0, D), ("f", 0, D), ("f", 1, D), ("f", 1, D), ("f", 1, D)]),
+    "disorder only": ([("f", s, ev) for s in range(3) for ev in (P, C)],
+                      [("f", 2, D), ("f", 0, D), ("f", 1, D)]),
+    "acks and unconfirmed": ([("f", 0, P), ("f", 1, P), ("f", 1, C), ("g", 0, P)],
+                             [("f", 1, D), ("f", 1, JournalEvent.ACKED), ("g", 0, D)]),
+    "mismatched flows": ([("f", 0, P), ("f", 0, C)], [("f", 0, D), ("z", 0, D), ("y", 3, D)]),
+    "duplicate production": ([("f", 0, P), ("f", 1, P), ("f", 0, P)], [("f", 0, D)]),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_checker_equals_the_reference_on_hand_built_journals(case):
+    produced_events, consumed_events = HAND_BUILT[case]
+    produced, consumed = jr(produced_events), jr(consumed_events)
+    for qos in (QOS_ORDERED, QOS_UNORDERED):
+        got = outcome(check_correctness, produced, consumed, qos)
+        assert got == outcome(reference_check_correctness, produced, consumed, qos)
+    if case == "every kind":
+        assert {v.kind for v in got.violations} == set(ViolationKind) - {ViolationKind.DISORDER}
+        ordered = check_correctness(produced, consumed, QOS_ORDERED)
+        assert {v.kind for v in ordered.violations} == set(ViolationKind)
+    elif case == "mismatched flows":
+        assert got[0] is MismatchedFlows
+    elif case == "duplicate production":
+        assert got == (ValueError, "production journal must be duplicate-free, saw ('f', 0) twice")
 
 
 # --------------------------------------------------------------------------

@@ -360,6 +360,90 @@ def test_a_bind_after_routing_is_seen_by_the_next_route():
     assert eng.route("ex", msg(rk="z.b")) == frozenset({"two"})
 
 
+def test_a_queue_bound_after_traffic_on_a_routed_key_receives_the_next_publish():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    eng.declare_queue(QueueSpec("one"))
+    eng.bind(BindingSpec("ex", "one", pattern="a.*"))
+    chan = eng.channel()
+    for seq in range(3):  # the later publishes reuse the routed set's queues
+        assert eng.publish(chan, "ex", msg(seq, rk="a.b")).routed_count == 1
+    eng.declare_queue(QueueSpec("late"))
+    eng.bind(BindingSpec("ex", "late", pattern="#.b"))
+    assert eng.publish(chan, "ex", msg(3, rk="a.b")).routed_count == 2
+    late = eng.consume("late", "c", ConsumeMode.PULL, prefetch=10)
+    assert [d.message.seq_no for d in late.pull(10)] == [3]
+    assert eng.queue_depth("one") == 4
+
+
+def test_routed_sets_map_to_their_queues_only_as_many_times_as_there_are_sets():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.TOPIC))
+    patterns = {"w": "a.*", "x": "a.#", "y": "*.b", "z": "#.c"}
+    for q, pattern in patterns.items():
+        eng.declare_queue(QueueSpec(q))
+        eng.bind(BindingSpec("ex", q, pattern=pattern))
+    chan = eng.channel()
+    rng = random.Random(3)
+    routed = set()
+    for i in range(10_000):
+        key = ".".join(rng.choice(("a", "b", "c", f"k{i}")) for _ in range(rng.randint(1, 3)))
+        m = msg(i, rk=key)
+        want = {q for q, pattern in patterns.items() if match_topic(pattern, key)}
+        assert eng.publish(chan, "ex", m).routed_count == len(want), key
+        if want:
+            routed.add(frozenset(want))
+    targets = eng.vhosts["/"].targets
+    assert 1 < len(targets) == len(routed) <= 4 * len(patterns)
+    for names, queues in targets.items():
+        assert [q.spec.name for q in queues] == sorted(names)
+
+
+def test_routed_sets_past_the_cap_are_resolved_and_not_kept():
+    # five headers bindings, each on a header of its own, route the 32
+    # header subsets to 31 distinct sets: more than four per binding
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.HEADERS))
+    for i in range(5):
+        eng.declare_queue(QueueSpec(f"q{i}"))
+        eng.bind(BindingSpec("ex", f"q{i}", header_match={f"h{i}": 1}, match_mode=MatchMode.ANY))
+    chan = eng.channel()
+    for seq, bits in enumerate(itertools.product((0, 1), repeat=5)):
+        headers = {f"h{i}": 1 for i, bit in enumerate(bits) if bit}
+        assert eng.publish(chan, "ex", msg(seq, headers=headers)).routed_count == sum(bits)
+    assert len(eng.vhosts["/"].targets) == 4 * 5
+    assert [eng.queue_depth(f"q{i}") for i in range(5)] == [16] * 5
+
+
+def test_a_pull_from_a_queue_without_ttl_never_reads_the_clock():
+    reads = [0]
+
+    def clock():
+        reads[0] += 1
+        return 10_000
+
+    eng = make_engine(clock=clock)
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.FANOUT))
+    eng.declare_queue(QueueSpec("plain"))
+    eng.declare_queue(QueueSpec("ttl", default_ttl=60_000))
+    for q in ("plain", "ttl"):
+        eng.bind(BindingSpec("ex", q))
+    chan = eng.channel()
+    for seq in range(5):
+        before = reads[0]
+        eng.publish(chan, "ex", msg(seq))
+        assert reads[0] - before <= 1
+    plain = eng.consume("plain", "c", ConsumeMode.PULL, prefetch=10)
+    before = reads[0]
+    for _ in range(3):
+        for d in plain.pull(2):
+            plain.ack(d.tag)
+    assert plain.pull(1) == [] and eng.queue_depth("plain") == 0
+    assert reads[0] == before
+    ttl = eng.consume("ttl", "c", ConsumeMode.PULL, prefetch=10)
+    assert len(ttl.pull(10)) == 5 and reads[0] == before + 1  # a TTL queue still expires
+
+
 def test_topic_automaton_keeps_at_most_its_cap_of_states_and_stays_exact():
     # "the 8th segment from the end is a" needs 2^8 states once
     # determinized; the trie has 14 nodes: the root, "#", and the 8 and 4
@@ -647,6 +731,29 @@ def test_requeued_entry_keeps_its_enqueue_deadline():
     assert eng.expire_ttl("q0") == 1  # the requeue did not restart seq 0's TTL
 
 
+def test_the_deadline_heap_loses_its_head_with_the_queue_and_stays_within_twice_the_depth():
+    now = [0]
+    eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none")
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", default_ttl=50, max_length=20))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    chan = eng.channel()
+    q = eng._queue("/", "q0")
+    cons = eng.consume("q0", "c", ConsumeMode.PULL, prefetch=1000, auto_ack=True)
+    for seq in range(100):  # one TTL on a steady clock: each drop pops the heap's top
+        now[0] += 1_000_000
+        eng.publish(chan, "ex", msg(seq, rk="k"))
+    assert len(q.deadlines) == eng.queue_depth("q0") == 20
+    rng = random.Random(11)
+    for seq in range(100, 1100):  # shorter message TTLs leave stale items behind
+        now[0] += rng.choice((0, 1, 5)) * 1_000_000
+        eng.publish(chan, "ex", msg(seq, rk="k", ttl=rng.choice((None, 2, 30))))
+        assert len(q.deadlines) <= 2 * eng.queue_depth("q0")  # as an insert leaves it
+        assert all(e.deadline >= now[0] for e in q.entries)
+        if rng.random() < 0.3:
+            cons.pull(rng.randint(1, 3))
+
+
 def test_no_ttl_expires_nothing():
     eng = make_engine()
     chan = direct_setup(eng)
@@ -857,6 +964,23 @@ def test_tx_commit_applies_publish_ack_publish_in_order(crash_at_ack):
         assert (result.applied, result.complete) == (3, True)
         assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (2, 0)
         assert [d.message.seq_no for d in cons.pull(10)] == [1, 2]
+
+
+def test_tx_commit_stopped_by_an_error_that_is_not_a_crash_keeps_the_transaction():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    eng.tx_ack(chan, "q0", 999)  # no such delivery
+    eng.publish(chan, "ex", msg(1, rk="k"))
+    with pytest.raises(UnknownTag):
+        eng.tx_commit(chan)
+    # the ops before the error applied; the channel is still in tx mode
+    # with its whole buffer, so a later publish is buffered too
+    assert eng.queue_depth("q0") == 1
+    assert chan.tx_mode and len(chan.tx_buffer) == 3
+    assert eng.publish(chan, "ex", msg(2, rk="k")) is None
+    assert eng.queue_depth("q0") == 1
 
 
 def test_tx_commit_without_select():
@@ -1178,12 +1302,19 @@ def test_a_topology_section_that_is_not_a_list_is_one_problem(section, value):
 # queue indexes and memory counters against full recounts and a list model
 # --------------------------------------------------------------------------
 
-def recount(bodies):
-    """Live and spilled payload bytes summed over every stored body."""
-    stored = bodies._bodies.values()
+def recount(eng):
+    """Live and spilled payload bytes summed over every body a queue's entry
+    or unacked delivery holds, each body once, and the count of bodies."""
+    held = {}
+    for vh in eng.vhosts.values():
+        for q in vh.queues.values():
+            for e in [*q.entries, *(e for e, _ in q.unacked.values())]:
+                held[id(e.body)] = e.body
+    stored = held.values()
     return (
-        sum(len(b.data) for b in stored),
-        sum(len(b.spilled_blob) for b in stored if b.spilled_blob is not None),
+        sum(len(b.data) for b in stored if not b.spilled),
+        sum(len(b.data) for b in stored if b.spilled),
+        len(stored),
     )
 
 
@@ -1197,31 +1328,31 @@ def test_body_store_counters_equal_a_recount():
     chan = eng.channel()
 
     def counters():
-        return eng.bodies.live_payload_bytes(), eng.bodies.spilled_bytes()
+        return eng.bodies.live_payload_bytes(), eng.bodies.spilled_bytes(), eng.bodies.count()
 
     for i in range(10):
         eng.publish(chan, "ex", msg(i, payload=b"p" * (50 + 10 * i)), persistent=i % 2 == 0)
-        assert counters() == recount(eng.bodies)
+        assert counters() == recount(eng)
     assert eng.bodies.spilled_bytes() > 0
     c0 = eng.consume("q0", "c0", ConsumeMode.PULL, prefetch=100)
     c1 = eng.consume("q1", "c1", ConsumeMode.PULL, prefetch=100)
     for d in c0.pull(3):  # unspills, then releases q0's references
         assert d.from_spill
         c0.ack(d.tag)
-        assert counters() == recount(eng.bodies)
+        assert counters() == recount(eng)
     c0.pull(2)  # held unacked through the crash
     for d in c1.pull(4):  # the last references of seqs 0-2 go
         c1.ack(d.tag)
-    assert counters() == recount(eng.bodies)
+    assert counters() == recount(eng)
     home = home_node_of(eng, "q0")
     eng.crash_node(home)
-    assert counters() == recount(eng.bodies)
+    assert counters() == recount(eng)
     eng.restart_node(home)
-    assert counters() == recount(eng.bodies)
+    assert counters() == recount(eng)
     for cons in (c0, c1):
         for d in cons.pull(100):
             cons.ack(d.tag)
-    assert counters() == recount(eng.bodies) == (0, 0)
+    assert counters() == recount(eng) == (0, 0, 0)
     assert eng.bodies.count() == 0
 
 
@@ -1276,8 +1407,17 @@ class ListQueue:
                 break
             if e.spilled:
                 continue
-            mem -= spill_body(e.body_id)
+            mem -= spill_body(e.body)
             e.spilled = True
+
+    # the engine skips expiry while `deadlines` is empty: here it holds the
+    # entries with a TTL
+    @property
+    def deadlines(self):
+        return [
+            e for e in self.entries
+            if (e.ttl_ms if e.ttl_ms is not None else self.spec.default_ttl) is not None
+        ]
 
     @property
     def _mem(self):

@@ -10,12 +10,16 @@ in even pairs and the change first in odd ones.  Each run's last standard
 output line is perfbench's JSON result.
 
 For every gated metric of `BENCHMARK.json` (with `--trace`, every per-layer
-metric, each time scaled by its run's `driver.host_speed`) the tool prints
+metric, each time scaled by its run's `driver.host_speed`, and beside each
+of those its unscaled value as `<name>.raw`) the tool prints
 each side's quartiles, the parent's interquartile range as a share of its
 median, the change's median over the parent's, and the pairs the change won.
 A metric is flagged as a claim when the change won at least nine pairs in
 ten and its median moved by more than the parent's interquartile range, and
-as worse when its median is worse by more than the metric's bound.
+as worse when its median is worse by more than the metric's bound.  Beside
+each median ratio stands its 95% interval from a seeded paired bootstrap:
+the pairs resampled with replacement, the ratio of medians taken per
+resample, and the 2.5th and 97.5th percentiles of those ratios.
 
 Running a tree against itself (an A/A run) gives each metric's noise floor.
 `--record TEXT` appends the comparison, with TEXT as the change's
@@ -29,6 +33,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIME_UNITS = ("us", "ms")  # per-layer units scaled by host speed
+RAW = ".raw"  # suffix of a scaled metric's unscaled twin
+RESAMPLES = 2000  # bootstrap resamples per metric
+SEED = 0  # of the bootstrap's generator, so the same pairs give the same interval
 
 
 def last_result(stdout: str) -> dict:
@@ -50,16 +58,23 @@ def last_result(stdout: str) -> dict:
     return result
 
 
+def scaled(name: str, unit: str) -> bool:
+    """Whether a traced run's metric is scaled by host speed."""
+    return unit in TIME_UNITS and not name.startswith("driver.")
+
+
 def values(result: dict, units: dict) -> dict:
     """Metric name -> value of one run.  A traced run's per-layer metrics
     are raw, so those in `TIME_UNITS`, except the driver's own, are scaled
-    by the run's `driver.host_speed` to the reference host speed."""
+    by the run's `driver.host_speed` to the reference host speed, and keep
+    their raw value under `<name>.raw`."""
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     speed = metrics.get("driver.host_speed")
     if speed:
-        for name, v in metrics.items():
-            if units.get(name) in TIME_UNITS and not name.startswith("driver."):
+        for name, v in list(metrics.items()):
+            if scaled(name, units.get(name)):
                 metrics[name] = v * speed
+                metrics[name + RAW] = v
     return metrics
 
 
@@ -69,6 +84,25 @@ def quartiles(xs: list) -> dict:
         return {"q1": xs[0], "median": xs[0], "q3": xs[0]}
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
+
+
+def bootstrap_ratio(pairs: list) -> tuple:
+    """95% percentile interval of median(change) / median(parent) - 1 over
+    `RESAMPLES` paired resamples of `pairs`, drawn from a generator seeded
+    with `SEED`.  A resample whose parent median is 0 has no ratio and is
+    skipped."""
+    rng = random.Random(SEED)
+    n = len(pairs)
+    ratios = []
+    for _ in range(RESAMPLES):
+        sample = [pairs[rng.randrange(n)] for _ in range(n)]
+        parent = statistics.median(p for p, _ in sample)
+        if parent:
+            ratios.append(statistics.median(c for _, c in sample) / parent - 1)
+    if not ratios:
+        return (0.0, 0.0)
+    ratios.sort()
+    return (ratios[int(0.025 * (len(ratios) - 1))], ratios[math.ceil(0.975 * (len(ratios) - 1))])
 
 
 def compare(pairs: list, better: str, bound: float | None = None) -> dict:
@@ -85,6 +119,7 @@ def compare(pairs: list, better: str, bound: float | None = None) -> dict:
         "change": change,
         "parent_iqr_share": spread / parent["median"] if parent["median"] else 0.0,
         "change_vs_parent_median": ratio,
+        "ratio_ci95": bootstrap_ratio(pairs),
         "change_better_pairs": wins,
         "claim": wins >= math.ceil(0.9 * len(pairs)) and sign * moved > spread,
         "worse": bound is not None and -sign * ratio > bound,
@@ -92,9 +127,15 @@ def compare(pairs: list, better: str, bound: float | None = None) -> dict:
 
 
 def gated(benchmark: dict, trace: bool) -> dict:
-    """Name -> (better, bound, unit) of the metrics a comparison reads."""
+    """Name -> (better, bound, unit) of the metrics a comparison reads:
+    with `trace`, each scaled per-layer metric and then its raw twin."""
     rows = benchmark["per_layer"] if trace else benchmark["end_to_end"]
-    return {m["name"]: (m["better"], m.get("bound"), m["unit"]) for m in rows}
+    out = {}
+    for m in rows:
+        out[m["name"]] = (m["better"], m.get("bound"), m["unit"])
+        if trace and scaled(m["name"], m["unit"]):
+            out[m["name"] + RAW] = out[m["name"]]
+    return out
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -110,11 +151,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool) 
 
 def report(name: str, stats: dict) -> str:
     p, c = stats["parent"], stats["change"]
+    lo, hi = stats["ratio_ci95"]
     flags = (" CLAIM" if stats["claim"] else "") + (" WORSE-THAN-BOUND" if stats["worse"] else "")
     return (f"  {name:<44} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f" iqr {stats['parent_iqr_share']:+.1%}  change {c['median']:.6g}"
             f" [{c['q1']:.6g}, {c['q3']:.6g}]  median {stats['change_vs_parent_median']:+.1%}"
-            f"  wins {stats['change_better_pairs']}{flags}")
+            f" ci95 [{lo:+.1%}, {hi:+.1%}]  wins {stats['change_better_pairs']}{flags}")
 
 
 def entry(text: str, parent: str, workload: str, args, seeds: list, stats: dict,
@@ -140,6 +182,7 @@ def entry(text: str, parent: str, workload: str, args, seeds: list, stats: dict,
                 "change": {k: round(v, 5) for k, v in s["change"].items()},
                 "parent_iqr_share": round(s["parent_iqr_share"], 5),
                 "change_vs_parent_median": round(s["change_vs_parent_median"], 5),
+                "ratio_ci95": [round(x, 5) for x in s["ratio_ci95"]],
                 "change_better_pairs": s["change_better_pairs"],
             }
             for name, s in stats.items()
