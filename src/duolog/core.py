@@ -206,15 +206,16 @@ class Message:
 )
 
 
-# The frozen `__setattr__`/`__delattr__` that `dataclass` generates for a
-# slotted class refer to the class from before `slots=True` rebuilt it, and
-# on some versions raise `TypeError` for a name that is not a field.  These
-# raise `FrozenInstanceError` for every name; `__init__` never calls them.
-def _frozen_setattr(self: Message, name: str, value: object) -> None:
+# The frozen `__setattr__`/`__delattr__` of `Message` and of the engines'
+# named-tuple records.  The ones `dataclass` generates for a slotted class
+# refer to the class from before `slots=True` rebuilt it, and on some
+# versions raise `TypeError` for a name that is not a field.  These raise
+# `FrozenInstanceError` for every name; `__init__` never calls them.
+def _frozen_setattr(self: object, name: str, value: object) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
-def _frozen_delattr(self: Message, name: str) -> None:
+def _frozen_delattr(self: object, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -299,7 +300,9 @@ class JournalEntry(NamedTuple):
     at_ns: int
 
 
-_new_tuple = tuple.__new__  # builds a JournalEntry without its Python-level __new__
+# builds a named tuple (a `JournalEntry`, or an engine's record) without
+# its Python-level `__new__`
+_new_tuple = tuple.__new__
 # the JSON text of each event, keyed by its value string: str hashing is
 # done in C, where an Enum key would call Enum.__hash__ for every line
 _EVENT_JSON = {ev.value: json.dumps(ev.value) for ev in JournalEvent}

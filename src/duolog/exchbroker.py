@@ -32,11 +32,12 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import BrokerContract, BrokerDown, Clock, Message, ScenarioInvalid, spin_ns
+from .core import _frozen_delattr, _frozen_setattr, _new_tuple
 from .core import check_keys, file_mapping, from_keys, validate_message
 from .hashing import stable_hash64
 
@@ -160,14 +161,6 @@ class BindingSpec:
 # their order, the repr and equality between records are the dataclasses',
 # and setting or deleting any attribute raises `FrozenInstanceError`.
 
-def _frozen_setattr(self: tuple, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self: tuple, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 class Confirm(NamedTuple):
     ack: bool
     publish_seq: int
@@ -188,9 +181,6 @@ class Delivery(NamedTuple):
 
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
-
-
-_new_tuple = tuple.__new__  # builds a `Confirm` or a `Delivery`
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .core import (
     Ordering,
     QoSConfig,
     ScenarioInvalid,
+    _new_tuple,
     check_correctness,
     check_keys,
     file_mapping,
@@ -116,9 +117,6 @@ class PhaseEvent(NamedTuple):
     flow: str
     seq: int
     at_ns: int
-
-
-_new_tuple = tuple.__new__  # builds a PhaseEvent without its Python-level __new__
 
 
 @dataclass(frozen=True)

@@ -31,17 +31,20 @@ segment's records concatenated.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import threading
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, spin_ns
+from .core import _frozen_delattr, _frozen_setattr, _new_tuple
 from .hashing import stable_hash64
 
 
@@ -158,11 +161,17 @@ _ACK_PHASE = {
 }
 
 
-@dataclass(frozen=True)
-class AppendReceipt:
+# a named tuple built with `tuple.__new__`, as the exchange's `Confirm` is:
+# one per `append_batch`, with a frozen dataclass's fields, repr and
+# `FrozenInstanceError`; as a tuple it also equals a plain tuple of the same
+# values, and it is no longer a dataclass
+class AppendReceipt(NamedTuple):
     base_offset: int
     count: int
     acked_at_phase: AckPhase
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
 
 @dataclass(frozen=True)
@@ -313,6 +322,11 @@ class Segment:
         return s
 
 
+# the sort keys of a replica's segments, which are in offset order
+_base_offset = attrgetter("base_offset")
+_last_offset = attrgetter("last_offset")
+
+
 class Replica:
     """One node's copy of a partition log."""
 
@@ -334,12 +348,12 @@ class Replica:
         self.start_offset = 0
 
     def append_encoded(
-        self, offsets: Sequence[int], records: Sequence[bytes], segment_bytes: int
+        self, offsets: Sequence[int], records: Sequence[bytes], segment_bytes: int, size: int
     ) -> None:
-        """Append already-encoded records, rolling a new segment whenever
-        the next record would push a non-empty tail past `segment_bytes`."""
+        """Append already-encoded records of `size` bytes in all, rolling a
+        new segment whenever the next record would push a non-empty tail
+        past `segment_bytes`."""
         tail = self.segments[-1] if self.segments else None
-        size = sum(map(len, records))
         if tail is not None and tail.size_bytes + size <= segment_bytes:
             # the whole batch fits the tail, so no record would roll a segment
             tail.offsets.extend(offsets)
@@ -361,10 +375,16 @@ class Replica:
     def total_bytes(self) -> int:
         return sum(seg.size_bytes for seg in self.segments)
 
+    def first_segment(self, offset: int) -> int:
+        """Index of the first segment that can hold an offset >= `offset`:
+        the last whose base is at or below it, as a segment's offsets start
+        at or above its base and the segments are in order."""
+        return max(bisect_right(self.segments, offset, key=_base_offset) - 1, 0)
+
     def records_from(self, offset: int) -> Iterator[tuple[int, bytes]]:
-        for seg in self.segments:
-            if seg.last_offset < offset:
-                continue
+        segs = self.segments
+        for s in range(self.first_segment(offset), len(segs)):
+            seg = segs[s]
             i = bisect_left(seg.offsets, offset)
             yield from zip(seg.offsets[i:], seg.records[i:])
 
@@ -435,6 +455,19 @@ def partition_for(key: Optional[bytes], n_partitions: int, rotation: int = 0) ->
 # --------------------------------------------------------------------------
 # the engine
 # --------------------------------------------------------------------------
+
+# the most (key, partition count) pairs whose partition is kept; the least
+# recently used is dropped past it, so memory stays bounded whatever the keys
+_KEYS_CACHED = 1024
+
+
+@functools.lru_cache(maxsize=_KEYS_CACHED)
+def _keyed_partition(key: bytes, n_partitions: int) -> int:
+    """`partition_for` of a keyed message, kept for the most recently used
+    keys: FNV-1a in pure Python costs about 0.4 us for a 3-byte key, and
+    more for a longer one."""
+    return stable_hash64(key) % n_partitions
+
 
 def quorum_size(replication_factor: int) -> int:
     return (replication_factor + 1 + 1) // 2  # ceil((rf + 1) / 2)
@@ -541,13 +574,12 @@ class LogEngine(BrokerContract):
 
     def partition_for(self, topic: str, key: Optional[bytes]) -> int:
         t = self._topic(topic)
-        n = t.config.partitions
         if key is None:
             with self._lock:
                 rotation = self._rotors[topic]
                 self._rotors[topic] = rotation + 1
-            return partition_for(None, n, rotation=rotation)
-        return partition_for(key, n)
+            return partition_for(None, t.config.partitions, rotation=rotation)
+        return _keyed_partition(key, t.config.partitions)
 
     # -- append / fetch ------------------------------------------------------
 
@@ -560,39 +592,55 @@ class LogEngine(BrokerContract):
     ) -> AppendReceipt:
         if not msgs:
             raise ValueError("append_batch needs at least one message")
-        t = self._topic(topic)
-        part = self._partition(t, partition)
-        rf = t.config.replication_factor
-        with part.lock:
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
+        if not 0 <= partition < len(t.partitions):
+            raise UnknownPartition(f"{topic}/{partition}")
+        part = t.partitions[partition]
+        cfg = t.config
+        # a fault hook may crash a node under the lock, which re-enters it
+        part.lock.acquire()
+        try:
             leader = self._leader(part)
-            self._fire_fault("pre_commit", topic, partition)
+            if self.fault_hook is not None:
+                self.fault_hook("pre_commit", topic, partition)
             base = leader.next_offset
-            # encoded once; every replica holds the same record and offset objects
-            offsets = list(range(base, base + len(msgs)))
+            end = base + len(msgs)
+            # encoded once; every replica holds the same record and offset
+            # objects (a list, as extending three replicas from a `range`
+            # would make each its own offset ints)
+            offsets = list(range(base, end))
             records = [encode_record(off, msg) for off, msg in zip(offsets, msgs)]
-            leader.append_encoded(offsets, records, t.config.segment_bytes)
-            self._maybe_flush(leader, t.config)
-            self._fire_fault("post_leader", topic, partition)
+            size = sum(map(len, records))
+            now = self.clock()  # one read serves every replica's flush check
+            leader.append_encoded(offsets, records, cfg.segment_bytes, size)
+            self._maybe_flush(leader, cfg, now)
+            if self.fault_hook is not None:
+                self.fault_hook("post_leader", topic, partition)
             acceptors = 1
+            nodes = self.nodes
             for rep in part.replicas:
-                if rep is leader or not self.nodes[rep.node_id].alive:
+                if rep is leader or not nodes[rep.node_id].alive:
                     continue
                 if rep.next_offset < base:
-                    self._catch_up(rep, leader, t.config)
+                    self._catch_up(rep, leader, cfg)
                 if rep.next_offset == base:
-                    rep.append_encoded(offsets, records, t.config.segment_bytes)
-                    self._maybe_flush(rep, t.config)
-                if rep.next_offset >= base + len(records):
+                    rep.append_encoded(offsets, records, cfg.segment_bytes, size)
+                    self._maybe_flush(rep, cfg, now)
+                if rep.next_offset >= end:
                     acceptors += 1
-            if acks is LogAckMode.ACKS_QUORUM and acceptors < quorum_size(rf):
-                raise BrokerDown(
-                    f"quorum {quorum_size(rf)} unavailable ({acceptors} acceptors)"
-                )
-            if acks is LogAckMode.ACKS_QUORUM and rf >= 2 and self.replica_ack_rtt_ns:
-                spin_ns(self.replica_ack_rtt_ns)
-            return AppendReceipt(
-                base_offset=base, count=len(msgs), acked_at_phase=_ACK_PHASE[acks]
-            )
+            if acks is LogAckMode.ACKS_QUORUM:
+                rf = cfg.replication_factor
+                if acceptors < quorum_size(rf):
+                    raise BrokerDown(
+                        f"quorum {quorum_size(rf)} unavailable ({acceptors} acceptors)"
+                    )
+                if rf >= 2 and self.replica_ack_rtt_ns:
+                    spin_ns(self.replica_ack_rtt_ns)
+            return _new_tuple(AppendReceipt, (base, len(msgs), _ACK_PHASE[acks]))
+        finally:
+            part.lock.release()
 
     def fetch(
         self,
@@ -606,9 +654,14 @@ class LogEngine(BrokerContract):
         visible."""
         if offset < 0:
             raise OffsetOutOfRange(f"offset {offset} < 0")
-        t = self._topic(topic)
-        part = self._partition(t, partition)
-        with part.lock:
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
+        if not 0 <= partition < len(t.partitions):
+            raise UnknownPartition(f"{topic}/{partition}")
+        part = t.partitions[partition]
+        part.lock.acquire()
+        try:
             leader = self._leader(part)
             hw = self._high_watermark(part, t.config.replication_factor, leader)
             start = leader.start_offset
@@ -619,18 +672,13 @@ class LogEngine(BrokerContract):
             out: list[Message] = []
             if offset >= hw:
                 return out, hw
-            # the last segment that can hold `offset`: a segment's offsets
-            # start at or above its base, and the segments are in order
             segs = leader.segments
-            s = len(segs) - 1
-            while s > 0 and segs[s].base_offset > offset:
-                s -= 1
             used = 0
-            for seg in segs[s:]:
-                offsets, records = seg.offsets, seg.records
-                for i in range(bisect_left(offsets, offset), len(offsets)):
-                    if offsets[i] >= hw:
-                        return out, hw
+            for s in range(leader.first_segment(offset), len(segs)):
+                offsets, records = segs[s].offsets, segs[s].records
+                lo = bisect_left(offsets, offset)
+                cut = bisect_left(offsets, hw, lo)  # the first offset at the watermark
+                for i in range(lo, cut):
                     rec = records[i]
                     used += len(rec)
                     if used > max_bytes and out:
@@ -638,7 +686,11 @@ class LogEngine(BrokerContract):
                     # looked up by its module name on every call, so that
                     # a wrapper installed on `decode_record` sees each one
                     out.append(decode_record(rec)[1])
+                if cut < len(offsets):
+                    break
             return out, hw
+        finally:
+            part.lock.release()
 
     def flush_all(self, topic: str) -> None:
         t = self._topic(topic)
@@ -646,7 +698,7 @@ class LogEngine(BrokerContract):
             with part.lock:
                 for rep in part.replicas:
                     if self.nodes[rep.node_id].alive:
-                        self._flush(rep, t.config)
+                        self._flush(rep, t.config, self.clock())
 
     def next_offset(self, topic: str, partition: int) -> int:
         t = self._topic(topic)
@@ -706,21 +758,29 @@ class LogEngine(BrokerContract):
         """Drop oldest whole segments until every active retention bound
         holds; the tail segment's unflushed region is never dropped."""
         t = self._topic(topic)
+        pol = t.config.retention
         now = self.clock()
         removed: dict[int, int] = {}
         for part in t.partitions:
             with part.lock:
                 leader = self._leader(part)
-                n = 0
-                while leader.segments:
-                    seg = leader.segments[0]
+                segs = leader.segments
+                # the leader's totals, taken once and less each segment dropped
+                total, size = leader.total_messages(), leader.total_bytes()
+                messages = total
+                k = 0
+                while k < len(segs):
+                    seg = segs[k]
                     if seg.last_offset >= leader.flushed_up_to:
                         break  # protects the unflushed tail region
-                    if not self._retention_violated(leader, t.config.retention, now):
+                    if not self._retention_violated(pol, seg, messages, size, now):
                         break
-                    n += seg.count
-                    self._drop_segment(part, seg.base_offset)
-                removed[part.index] = n
+                    messages -= seg.count
+                    size -= seg.size_bytes
+                    k += 1
+                removed[part.index] = total - messages
+                if k:
+                    self._drop_segments(part, segs[k - 1].last_offset + 1)
         return PurgeReport(removed_per_partition=removed)
 
     def compact(self, topic: str, partition: int) -> CompactReport:
@@ -828,19 +888,17 @@ class LogEngine(BrokerContract):
         missing = list(leader.records_from(rep.next_offset))
         if missing:
             offsets, records = zip(*missing)
-            rep.append_encoded(offsets, records, cfg.segment_bytes)
+            rep.append_encoded(offsets, records, cfg.segment_bytes, sum(map(len, records)))
 
-    def _maybe_flush(self, rep: Replica, cfg: TopicConfig) -> None:
-        unflushed = rep.next_offset - rep.flushed_up_to
-        elapsed = self.clock() - rep.last_flush_ns
-        if cfg.flush.due(unflushed, elapsed):
-            self._flush(rep, cfg)
+    def _maybe_flush(self, rep: Replica, cfg: TopicConfig, now: int) -> None:
+        if cfg.flush.due(rep.next_offset - rep.flushed_up_to, now - rep.last_flush_ns):
+            self._flush(rep, cfg, now)
 
-    def _flush(self, rep: Replica, cfg: TopicConfig) -> None:
+    def _flush(self, rep: Replica, cfg: TopicConfig, now: int) -> None:
         if rep.flushed_up_to == rep.next_offset:
             return
         rep.flushed_up_to = rep.next_offset
-        rep.last_flush_ns = self.clock()
+        rep.last_flush_ns = now
         if self.fsync_latency_ns:
             spin_ns(self.fsync_latency_ns)
         if self.data_dir is not None:
@@ -854,25 +912,29 @@ class LogEngine(BrokerContract):
             tmp.write_bytes(b"".join(seg.records))
             tmp.replace(d / f"{seg.base_offset:020d}.seg")
 
-    def _retention_violated(self, rep: Replica, pol: RetentionPolicy, now: int) -> bool:
-        if pol.max_messages is not None and rep.total_messages() > pol.max_messages:
+    def _retention_violated(
+        self, pol: RetentionPolicy, oldest: Segment, messages: int, size: int, now: int
+    ) -> bool:
+        """Whether a log of `messages` records and `size` bytes, whose oldest
+        segment is `oldest`, breaks a bound of `pol` at time `now`."""
+        if pol.max_messages is not None and messages > pol.max_messages:
             return True
-        if pol.max_bytes is not None and rep.total_bytes() > pol.max_bytes:
+        if pol.max_bytes is not None and size > pol.max_bytes:
             return True
         if pol.max_age_ms is not None:
-            seg = rep.segments[0]
-            produced_at = _RECORD_HEADER.unpack_from(seg.records[0])[3]
+            produced_at = _RECORD_HEADER.unpack_from(oldest.records[0])[3]
             if produced_at + pol.max_age_ms * 1_000_000 < now:
                 return True
         return False
 
-    def _drop_segment(self, part: Partition, base_offset: int) -> None:
+    def _drop_segments(self, part: Partition, end: int) -> None:
+        """Drop from each replica the segments wholly below offset `end`."""
         for rep in part.replicas:
-            for i, seg in enumerate(rep.segments):
-                if seg.base_offset == base_offset:
-                    rep.start_offset = max(rep.start_offset, seg.last_offset + 1)
-                    rep.segments.pop(i)
-                    break
+            segs = rep.segments
+            k = bisect_left(segs, end, key=_last_offset)
+            if k:
+                rep.start_offset = max(rep.start_offset, segs[k - 1].last_offset + 1)
+                del segs[:k]
 
     def _rewrite_with(self, rep: Replica, survivors: set[int], segment_bytes: int) -> None:
         offsets: list[int] = []
@@ -885,5 +947,5 @@ class LogEngine(BrokerContract):
         next_off, flushed = rep.next_offset, rep.flushed_up_to
         rep.segments = []
         if records:
-            rep.append_encoded(offsets, records, segment_bytes)
+            rep.append_encoded(offsets, records, segment_bytes, sum(map(len, records)))
         rep.next_offset, rep.flushed_up_to = next_off, flushed

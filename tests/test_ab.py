@@ -144,3 +144,18 @@ def test_the_bootstrap_interval_of_an_a_a_run_is_zero_and_of_one_pair_its_ratio(
     assert ab.bootstrap_ratio([(5.0, 5.0), (7.0, 7.0), (6.0, 6.0)]) == (0.0, 0.0)
     assert ab.bootstrap_ratio([(10.0, 11.0)]) == pytest.approx((0.1, 0.1))
     assert ab.bootstrap_ratio([(0.0, 1.0)] * 4) == (0.0, 0.0)  # no parent median, no ratio
+
+
+def test_record_refuses_a_tree_without_git_before_any_pair_runs(tmp_path, monkeypatch, capsys):
+    bare, checkout = tmp_path / "bare", tmp_path / "checkout"
+    bare.mkdir()
+    (checkout / ".git").mkdir(parents=True)
+    ran = []
+    monkeypatch.setattr(ab, "run_once", lambda *a: ran.append(a))
+    for trees in ((bare, checkout), (checkout, bare)):
+        with pytest.raises(SystemExit) as exit_:
+            ab.main([*map(str, trees), "--workload", "w", "--first-seed", "1", "--record", "x"])
+        assert exit_.value.code == 2
+        assert f"{bare} has no .git" in capsys.readouterr().err
+    assert ran == []
+    assert not (ab.ROOT / "BENCH_w.json").exists()

@@ -1,14 +1,19 @@
 """Log engine: topics, appends, acks, fetch gating, groups, retention,
 compaction, movement and crash semantics."""
 
+import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
 from duolog.core import BrokerDown, FlushPolicy, Message
 from duolog.logbroker import (
+    _KEYS_CACHED,
+    _keyed_partition,
     AckPhase,
+    AppendReceipt,
     DuplicateTopic,
     KeylessMessage,
     LogAckMode,
@@ -170,6 +175,43 @@ def test_engine_rotor_round_robins_keyless():
     assert [eng.partition_for("t", None) for _ in range(4)] == [0, 1, 2, 0]
 
 
+def test_engine_partitioner_equals_the_module_one_past_its_cache_bound():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", partitions=7))
+    keys = [b"key-%d" % i for i in range(2 * _KEYS_CACHED)]
+    for _ in range(2):  # the second pass finds the first half evicted
+        for key in keys:
+            assert eng.partition_for("t", key) == partition_for(key, 7), key
+            assert _keyed_partition.cache_info().currsize <= _KEYS_CACHED
+    # a key that turns hot after the cold ones is kept
+    hits = _keyed_partition.cache_info().hits
+    for _ in range(3):
+        assert eng.partition_for("t", b"hot") == partition_for(b"hot", 7)
+    assert _keyed_partition.cache_info().hits == hits + 2
+
+
+def test_a_key_keeps_a_partition_per_partition_count():
+    eng = make_engine()
+    for n in (1, 2, 3, 5, 8):
+        eng.create_topic(TopicConfig(f"t{n}", partitions=n))
+    for _ in range(2):
+        for n in (1, 2, 3, 5, 8):
+            assert eng.partition_for(f"t{n}", b"k") == partition_for(b"k", n)
+
+
+def test_keyless_rotation_is_per_topic_and_unmoved_by_keyed_calls():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("a", partitions=3))
+    eng.create_topic(TopicConfig("b", partitions=2))
+    got = [
+        (eng.partition_for("a", None), eng.partition_for("a", b"k"), eng.partition_for("b", None))
+        for _ in range(7)
+    ]
+    assert [a for a, _, _ in got] == [i % 3 for i in range(7)]
+    assert [b for _, _, b in got] == [i % 2 for i in range(7)]
+    assert {k for _, k, _ in got} == {partition_for(b"k", 3)}
+
+
 # --------------------------------------------------------------------------
 # append / fetch
 # --------------------------------------------------------------------------
@@ -180,6 +222,47 @@ def test_append_batch_into_empty_partition():
     r = eng.append_batch("t", 0, msgs("f", 0, 5))
     assert r.base_offset == 0 and r.count == 5
     assert eng.next_offset("t", 0) == 5
+
+
+def test_append_receipt_keeps_its_fields_repr_equality_and_frozenness():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t"))
+    eng.append_batch("t", 0, msgs("f", 0, 2))
+    r = eng.append_batch("t", 0, msgs("f", 2, 3))
+    assert r == AppendReceipt(2, 3, AckPhase.LEADER)
+    # a named tuple, so it also equals a plain tuple and is no dataclass
+    assert r == (2, 3, AckPhase.LEADER) and tuple(r) == (2, 3, AckPhase.LEADER)
+    assert not dataclasses.is_dataclass(r)
+    assert r == AppendReceipt(base_offset=2, count=3, acked_at_phase=AckPhase.LEADER)
+    assert r != AppendReceipt(2, 4, AckPhase.LEADER)
+    assert hash(r) == hash(AppendReceipt(2, 3, AckPhase.LEADER))
+    assert repr(r) == (
+        "AppendReceipt(base_offset=2, count=3, acked_at_phase=<AckPhase.LEADER: 'leader'>)")
+    for name in ("count", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+    assert (r.base_offset, r.count, r.acked_at_phase) == (2, 3, AckPhase.LEADER)
+
+
+def test_an_append_reads_the_clock_once_at_rf3():
+    reads = []
+
+    def clock():
+        reads.append(0)
+        return 0
+
+    eng = LogEngine(3, clock=clock)
+    eng.create_topic(TopicConfig(
+        "t", replication_factor=3,
+        flush=FlushPolicy(flush_interval_messages=2, flush_interval_ms=None),
+    ))
+    for i in range(4):  # the second and fourth appends flush every replica
+        before = len(reads)
+        eng.append_batch("t", 0, msgs("f", i, 1), LogAckMode.ACKS_QUORUM)
+        assert len(reads) - before == 1, i
+    assert [rep.flushed_up_to for rep in eng._topic("t").partitions[0].replicas] == [4, 4, 4]
 
 
 def test_ack_phases():
@@ -338,6 +421,29 @@ def test_fetch_equals_the_record_walk_below_the_leaders_end():
     # a first record larger than the budget is still returned
     out, _ = eng.fetch("t", 0, 0, max_bytes=1)
     assert [m.seq_no for m in out] == [0]
+
+
+def fetch_cpu_ns(segments, fetches=200, runs=5):
+    """Least thread CPU over `runs` runs of `fetches` one-record fetches at
+    the oldest offset of a log of `segments` one-record segments."""
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", segment_bytes=1, flush=NO_TIME_FLUSH))
+    eng.append_batch("t", 0, msgs("f", 0, segments))
+    assert len(eng._topic("t").partitions[0].replicas[0].segments) == segments
+    best = None
+    for _ in range(runs):
+        start = time.thread_time_ns()
+        for _ in range(fetches):
+            eng.fetch("t", 0, 0, max_bytes=1)
+        spent = time.thread_time_ns() - start
+        best = spent if best is None else min(best, spent)
+    assert [m.seq_no for m in eng.fetch("t", 0, 0, max_bytes=1)[0]] == [0]
+    return best
+
+
+def test_fetch_cost_is_flat_in_segment_count():
+    few, many = fetch_cpu_ns(10), fetch_cpu_ns(10_000)
+    assert many < 3 * few, (few, many)
 
 
 def test_replay_returns_identical_bytes():
@@ -502,6 +608,33 @@ def test_purge_byte_bound():
     assert report.removed_per_partition[0] >= 24
 
 
+def purge_cpu_ns(segments, runs=3):
+    """Least thread CPU over `runs` purges of a fresh rf=3 log of
+    `segments` one-record segments down to its newest record."""
+    best = None
+    for _ in range(runs):
+        eng = make_engine()
+        eng.create_topic(TopicConfig(
+            "t", replication_factor=3, segment_bytes=1, flush=NO_TIME_FLUSH,
+            retention=RetentionPolicy(max_age_ms=None, max_messages=1),
+        ))
+        eng.append_batch("t", 0, msgs("f", 0, segments), LogAckMode.ACKS_QUORUM)
+        eng.flush_all("t")
+        start = time.thread_time_ns()
+        report = eng.purge("t")
+        spent = time.thread_time_ns() - start
+        assert report.removed_per_partition == {0: segments - 1}
+        for rep in eng._topic("t").partitions[0].replicas:
+            assert rep.start_offset == segments - 1 and len(rep.segments) == 1
+        best = spent if best is None else min(best, spent)
+    return best
+
+
+def test_purge_cost_is_linear_in_segment_count():
+    small, large = purge_cpu_ns(1_000), purge_cpu_ns(4_000)
+    assert large < 8 * small, (small, large)
+
+
 # --------------------------------------------------------------------------
 # compaction
 # --------------------------------------------------------------------------
@@ -633,9 +766,13 @@ def fetch_from_each_replica(eng, topic, partition):
 
 def test_replicas_share_each_encoded_record():
     eng = make_engine()
-    eng.create_topic(TopicConfig("t", replication_factor=3, flush=NO_TIME_FLUSH))
-    eng.append_batch("t", 0, msgs("f", 0, 20, payload=b"q" * 30), LogAckMode.ACKS_QUORUM)
+    eng.create_topic(TopicConfig("t", replication_factor=3, segment_bytes=300,
+                                 flush=NO_TIME_FLUSH))
+    for i in range(5):  # batches that roll segments
+        eng.append_batch("t", 0, msgs("f", 4 * i, 4, payload=b"q" * 30), LogAckMode.ACKS_QUORUM)
+    assert len(eng._topic("t").partitions[0].replicas[0].segments) > 1
     leader, *followers = replica_records(eng, "t", 0)
+    assert [off for off, _ in leader] == list(range(20))
     for records in followers:
         assert shares_records(leader, records)
     # shared objects, but each replica's logical bytes still count

@@ -23,7 +23,10 @@ resample, and the 2.5th and 97.5th percentiles of those ratios.
 
 Running a tree against itself (an A/A run) gives each metric's noise floor.
 `--record TEXT` appends the comparison, with TEXT as the change's
-description, to `BENCH_<workload>.json` beside this tool's `tools/`.
+description, to `BENCH_<workload>.json` beside this tool's `tools/`.  An
+entry names the parent's commit, which perfbench reads from the tree's
+`.git`, so `--record` refuses, before any pair runs, a PARENT or CHANGE
+that has none.
 """
 
 from __future__ import annotations
@@ -207,6 +210,10 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--record", metavar="TEXT")
     args = ap.parse_args(argv)
+    if args.record:
+        for tree in (args.parent, args.change):
+            if not (tree / ".git").exists():
+                ap.error(f"--record needs each tree's commit, and {tree} has no .git")
 
     metrics = gated(json.loads((ROOT / "BENCHMARK.json").read_text()), args.trace)
     units = {name: unit for name, (_, _, unit) in metrics.items()}
