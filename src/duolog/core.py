@@ -264,6 +264,9 @@ class FlushPolicy:
             raise ValueError("flush_interval_ms must be >= 0")
 
     def due(self, unflushed: int, elapsed_ns: int) -> bool:
+        """Whether a replica with `unflushed` messages, last flushed
+        `elapsed_ns` ago, must flush.  `LogEngine.append_batch` applies the
+        same rule inline; a test holds the two equal."""
         if self.flush_interval_messages is not None and unflushed >= self.flush_interval_messages:
             return True
         if self.flush_interval_ms is not None and elapsed_ns >= self.flush_interval_ms * 1_000_000:

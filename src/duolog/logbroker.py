@@ -45,6 +45,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import BrokerContract, BrokerDown, Clock, FlushPolicy, Message, spin_ns
 from .core import _frozen_delattr, _frozen_setattr, _new_tuple
+from .core import (
+    _set_flow_id, _set_headers, _set_key, _set_payload, _set_produced_at,
+    _set_routing_key, _set_seq_no, _set_ttl_ms,
+)
 from .hashing import stable_hash64
 
 
@@ -198,63 +202,86 @@ _FIXED = _RECORD.size - _RECORD_HEADER.size
 RECORD_VERSION = 1
 _NONE_LEN = 0xFFFFFFFF  # a length field's "None"
 _NO_TTL = -(1 << 63)
+# bound once for every record's encode and decode
+_pack_record = _RECORD.pack
+_unpack_record = _RECORD.unpack_from
+_RECORD_SIZE = _RECORD.size
+_new_message = Message.__new__
 
 
 def encode_record(offset: int, msg: Message) -> bytes:
-    flow = b"" if msg.flow_id is None else msg.flow_id.encode()
-    key = b"" if msg.key is None else msg.key
-    rk = b"" if msg.routing_key is None else msg.routing_key.encode()
-    headers = (
-        json.dumps(msg.headers, sort_keys=True, separators=(",", ":")).encode()
-        if msg.headers else b""
-    )
-    payload = msg.payload
+    flow, key, rk, headers = msg.flow_id, msg.key, msg.routing_key, msg.headers
+    ttl, payload = msg.ttl_ms, msg.payload
+    if flow is None:
+        flow, flow_len = b"", _NONE_LEN
+    else:
+        flow = flow.encode()
+        flow_len = len(flow)
+    if key is None:
+        key, key_len = b"", _NONE_LEN
+    else:
+        key_len = len(key)
+    if rk is None:
+        rk, rk_len = b"", _NONE_LEN
+    else:
+        rk = rk.encode()
+        rk_len = len(rk)
+    headers = json.dumps(headers, sort_keys=True, separators=(",", ":")).encode() if headers else b""
     return b"".join((
-        _RECORD.pack(
+        _pack_record(
             len(payload),
             _FIXED + len(flow) + len(key) + len(rk) + len(headers),
             offset,
             msg.produced_at,
             RECORD_VERSION,
             msg.seq_no,
-            _NO_TTL if msg.ttl_ms is None else msg.ttl_ms,
-            _NONE_LEN if msg.flow_id is None else len(flow),
-            _NONE_LEN if msg.key is None else len(key),
-            _NONE_LEN if msg.routing_key is None else len(rk),
-            len(headers),
+            _NO_TTL if ttl is None else ttl,
+            flow_len, key_len, rk_len, len(headers),
         ),
         flow, key, rk, headers, payload,
     ))
 
 
 def decode_record(buf: bytes, pos: int = 0) -> tuple[int, Message, int]:
-    """Decode one record at `pos`; returns (offset, message, next_pos)."""
+    """Decode one record at `pos`; returns (offset, message, next_pos).
+
+    The `Message` is filled through its slot setters, as its `__init__`
+    fills it, without the call into `__init__` and its defaults."""
     (payload_len, _, offset, produced_at, version, seq, ttl,
-     flow_len, key_len, rk_len, headers_len) = _RECORD.unpack_from(buf, pos)
+     flow_len, key_len, rk_len, headers_len) = _unpack_record(buf, pos)
     if version != RECORD_VERSION:
         raise ValueError(f"record version {version} at {pos} is not {RECORD_VERSION}")
-    pos += _RECORD.size
-    flow = None
-    if flow_len != _NONE_LEN:
-        flow = buf[pos:pos + flow_len].decode()
-        pos += flow_len
-    key = None
-    if key_len != _NONE_LEN:
-        key = buf[pos:pos + key_len]
-        pos += key_len
-    rk = None
-    if rk_len != _NONE_LEN:
-        rk = buf[pos:pos + rk_len].decode()
-        pos += rk_len
-    headers = {}
+    pos += _RECORD_SIZE
+    msg = _new_message(Message)
+    if flow_len == _NONE_LEN:
+        _set_flow_id(msg, None)
+    else:
+        end = pos + flow_len
+        _set_flow_id(msg, buf[pos:end].decode())
+        pos = end
+    if key_len == _NONE_LEN:
+        _set_key(msg, None)
+    else:
+        end = pos + key_len
+        _set_key(msg, buf[pos:end])
+        pos = end
+    if rk_len == _NONE_LEN:
+        _set_routing_key(msg, None)
+    else:
+        end = pos + rk_len
+        _set_routing_key(msg, buf[pos:end].decode())
+        pos = end
     if headers_len:
-        headers = json.loads(buf[pos:pos + headers_len])
-        pos += headers_len
+        end = pos + headers_len
+        _set_headers(msg, json.loads(buf[pos:end]))
+        pos = end
+    else:
+        _set_headers(msg, {})
     end = pos + payload_len
-    msg = Message(
-        flow, seq, buf[pos:end], key, rk, headers, produced_at,
-        None if ttl == _NO_TTL else ttl,
-    )
+    _set_payload(msg, buf[pos:end])
+    _set_seq_no(msg, seq)
+    _set_produced_at(msg, produced_at)
+    _set_ttl_ms(msg, None if ttl == _NO_TTL else ttl)
     return offset, msg, end
 
 
@@ -267,8 +294,8 @@ def iter_records(buf: bytes) -> Iterator[tuple[int, Message]]:
 
 def record_key(buf: bytes) -> tuple[int, Optional[bytes]]:
     """Offset and key of the record `buf`, without a full decode."""
-    (_, _, offset, _, _, _, _, flow_len, key_len, _, _) = _RECORD.unpack_from(buf)
-    start = _RECORD.size + (0 if flow_len == _NONE_LEN else flow_len)
+    (_, _, offset, _, _, _, _, flow_len, key_len, _, _) = _unpack_record(buf)
+    start = _RECORD_SIZE + (0 if flow_len == _NONE_LEN else flow_len)
     key = None if key_len == _NONE_LEN else buf[start:start + key_len]
     return offset, key
 
@@ -469,8 +496,34 @@ def _keyed_partition(key: bytes, n_partitions: int) -> int:
     return stable_hash64(key) % n_partitions
 
 
+# a flush bound that is not set: no count or age reaches it
+_NEVER = float("inf")
+
+
 def quorum_size(replication_factor: int) -> int:
     return (replication_factor + 1 + 1) // 2  # ceil((rf + 1) / 2)
+
+
+def _quorum_offset(replicas: list[Replica], rf: int) -> int:
+    """The highest offset held by a quorum of the `rf` replicas: the
+    `quorum_size(rf)`-th largest of their next offsets.  Picked by compares
+    up to rf=3, without building and sorting a list."""
+    if rf == 3:
+        a, b, c = replicas
+        a, b, c = a.next_offset, b.next_offset, c.next_offset
+        if a > b:
+            a, b = b, a
+        # the middle of three: b, unless c is below it
+        if c >= b:
+            return b
+        return c if c > a else a
+    if rf == 2:
+        a, b = replicas
+        a, b = a.next_offset, b.next_offset
+        return a if a < b else b
+    if rf == 1:
+        return replicas[0].next_offset
+    return sorted([r.next_offset for r in replicas])[-quorum_size(rf)]
 
 
 class LogEngine(BrokerContract):
@@ -515,7 +568,7 @@ class LogEngine(BrokerContract):
                         if rep is not None:
                             part.hw_floor = max(
                                 part.hw_floor,
-                                self._quorum_offset(part, topic.config.replication_factor),
+                                _quorum_offset(part.replicas, topic.config.replication_factor),
                             )
                             rep.truncate_to_flushed()
 
@@ -573,11 +626,16 @@ class LogEngine(BrokerContract):
             return topic
 
     def partition_for(self, topic: str, key: Optional[bytes]) -> int:
-        t = self._topic(topic)
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
         if key is None:
-            with self._lock:
+            self._lock.acquire()
+            try:
                 rotation = self._rotors[topic]
                 self._rotors[topic] = rotation + 1
+            finally:
+                self._lock.release()
             return partition_for(None, t.config.partitions, rotation=rotation)
         return _keyed_partition(key, t.config.partitions)
 
@@ -613,9 +671,17 @@ class LogEngine(BrokerContract):
             offsets = list(range(base, end))
             records = [encode_record(off, msg) for off, msg in zip(offsets, msgs)]
             size = sum(map(len, records))
-            now = self.clock()  # one read serves every replica's flush check
-            leader.append_encoded(offsets, records, cfg.segment_bytes, size)
-            self._maybe_flush(leader, cfg, now)
+            segment_bytes = cfg.segment_bytes
+            # `cfg.flush.due` inline for each replica, with its bounds read
+            # once (a bound not set is one never reached) and one clock read
+            every, after_ms = cfg.flush.flush_interval_messages, cfg.flush.flush_interval_ms
+            every = _NEVER if every is None else every
+            after_ns = _NEVER if after_ms is None else after_ms * 1_000_000
+            now = self.clock()
+            leader.append_encoded(offsets, records, segment_bytes, size)
+            if (leader.next_offset - leader.flushed_up_to >= every
+                    or now - leader.last_flush_ns >= after_ns):
+                self._flush(leader, cfg, now)
             if self.fault_hook is not None:
                 self.fault_hook("post_leader", topic, partition)
             acceptors = 1
@@ -626,10 +692,15 @@ class LogEngine(BrokerContract):
                 if rep.next_offset < base:
                     self._catch_up(rep, leader, cfg)
                 if rep.next_offset == base:
-                    rep.append_encoded(offsets, records, cfg.segment_bytes, size)
-                    self._maybe_flush(rep, cfg, now)
+                    rep.append_encoded(offsets, records, segment_bytes, size)
+                    if (rep.next_offset - rep.flushed_up_to >= every
+                            or now - rep.last_flush_ns >= after_ns):
+                        self._flush(rep, cfg, now)
                 if rep.next_offset >= end:
                     acceptors += 1
+            # the phase named by identity: `_ACK_PHASE[acks]` would run the
+            # Python-level `Enum.__hash__`; it still serves `ACKS_0` and
+            # raises the `KeyError` of a value that is no ack mode
             if acks is LogAckMode.ACKS_QUORUM:
                 rf = cfg.replication_factor
                 if acceptors < quorum_size(rf):
@@ -638,7 +709,12 @@ class LogEngine(BrokerContract):
                     )
                 if rf >= 2 and self.replica_ack_rtt_ns:
                     spin_ns(self.replica_ack_rtt_ns)
-            return _new_tuple(AppendReceipt, (base, len(msgs), _ACK_PHASE[acks]))
+                phase = AckPhase.QUORUM
+            elif acks is LogAckMode.ACKS_1:
+                phase = AckPhase.LEADER
+            else:
+                phase = _ACK_PHASE[acks]
+            return _new_tuple(AppendReceipt, (base, len(msgs), phase))
         finally:
             part.lock.release()
 
@@ -701,16 +777,30 @@ class LogEngine(BrokerContract):
                         self._flush(rep, t.config, self.clock())
 
     def next_offset(self, topic: str, partition: int) -> int:
-        t = self._topic(topic)
-        part = self._partition(t, partition)
-        with part.lock:
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
+        if not 0 <= partition < len(t.partitions):
+            raise UnknownPartition(f"{topic}/{partition}")
+        part = t.partitions[partition]
+        part.lock.acquire()
+        try:
             return self._leader(part).next_offset
+        finally:
+            part.lock.release()
 
     def high_watermark(self, topic: str, partition: int) -> int:
-        t = self._topic(topic)
-        part = self._partition(t, partition)
-        with part.lock:
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
+        if not 0 <= partition < len(t.partitions):
+            raise UnknownPartition(f"{topic}/{partition}")
+        part = t.partitions[partition]
+        part.lock.acquire()
+        try:
             return self._high_watermark(part, t.config.replication_factor)
+        finally:
+            part.lock.release()
 
     # -- consumer groups -----------------------------------------------------
 
@@ -733,17 +823,28 @@ class LogEngine(BrokerContract):
     def commit_offset(
         self, group_id: str, member_id: str, topic: str, partition: int, offset: int
     ) -> None:
-        t = self._topic(topic)
-        part = self._partition(t, partition)
-        with self._lock:
+        t = self.topics.get(topic)
+        if t is None:
+            raise UnknownTopic(topic)
+        if not 0 <= partition < len(t.partitions):
+            raise UnknownPartition(f"{topic}/{partition}")
+        part = t.partitions[partition]
+        tp = (topic, partition)
+        self._lock.acquire()
+        try:
             group = self.groups.get(group_id)
-            if group is None or group.assignment.get((topic, partition)) != member_id:
+            if group is None or group.assignment.get(tp) != member_id:
                 raise NotAssigned(f"{member_id} does not own {topic}/{partition} in {group_id}")
-            with part.lock:
+            part.lock.acquire()
+            try:
                 limit = self._leader(part).next_offset
+            finally:
+                part.lock.release()
             if offset < 0 or offset > limit:
                 raise OffsetOutOfRange(f"commit {offset} outside [0, {limit}]")
-            group.committed[(topic, partition)] = offset
+            group.committed[tp] = offset
+        finally:
+            self._lock.release()
 
     def committed(self, group_id: str, topic: str, partition: int) -> int:
         with self._lock:
@@ -875,24 +976,16 @@ class LogEngine(BrokerContract):
         leader is looked up only where the watermark needs it."""
         if rf == 1:
             return (leader or self._leader(part)).next_offset
-        hw = self._quorum_offset(part, rf)
+        hw = _quorum_offset(part.replicas, rf)
         if part.hw_floor > hw:
             hw = min(part.hw_floor, (leader or self._leader(part)).next_offset)
         return hw
-
-    def _quorum_offset(self, part: Partition, rf: int) -> int:
-        """The highest offset held by a quorum of replicas."""
-        return sorted([r.next_offset for r in part.replicas])[-quorum_size(rf)]
 
     def _catch_up(self, rep: Replica, leader: Replica, cfg: TopicConfig) -> None:
         missing = list(leader.records_from(rep.next_offset))
         if missing:
             offsets, records = zip(*missing)
             rep.append_encoded(offsets, records, cfg.segment_bytes, sum(map(len, records)))
-
-    def _maybe_flush(self, rep: Replica, cfg: TopicConfig, now: int) -> None:
-        if cfg.flush.due(rep.next_offset - rep.flushed_up_to, now - rep.last_flush_ns):
-            self._flush(rep, cfg, now)
 
     def _flush(self, rep: Replica, cfg: TopicConfig, now: int) -> None:
         if rep.flushed_up_to == rep.next_offset:

@@ -159,3 +159,59 @@ def test_record_refuses_a_tree_without_git_before_any_pair_runs(tmp_path, monkey
         assert f"{bare} has no .git" in capsys.readouterr().err
     assert ran == []
     assert not (ab.ROOT / "BENCH_w.json").exists()
+
+
+def aa_entry(moves: dict, text: str = "A/A: the parent against itself") -> dict:
+    return {"change": text,
+            "metrics": {name: {"change_vs_parent_median": m} for name, m in moves.items()}}
+
+
+def canned_main(tmp_path, monkeypatch, capsys, trajectory):
+    """`main` over ten canned pairs in which the change is 3% faster than a
+    parent whose runs spread by 0.4%; returns the throughput line it prints."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    if trajectory is not None:
+        (tmp_path / "BENCH_w.json").write_text(json.dumps({"workload": "w", "trajectory": trajectory}))
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+
+    def run_once(tree, workload, seed, seconds, trace):
+        value = 100 + 0.05 * (seed - 1)
+        return ab.last_result(run_output({"throughput_per_s": value * (1.03 if tree.name == "c" else 1)}))
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "w",
+                    "--first-seed", "1"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  throughput_per_s ")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_without_an_a_a_entry_a_gain_past_the_spread_is_a_claim(tmp_path, monkeypatch, capsys):
+    for trajectory in (None, [], [{"change": "a change", "metrics": {}}]):
+        line = canned_main(tmp_path, monkeypatch, capsys, trajectory)
+        assert " a/a - " in line and "median +3.0%" in line and line.endswith("wins 10 CLAIM")
+
+
+def test_a_claim_must_also_exceed_the_a_a_median_move(tmp_path, monkeypatch, capsys):
+    # the A/A run moved by 4.2%, more than this change's 3%: no claim
+    line = canned_main(tmp_path, monkeypatch, capsys, [aa_entry({"throughput_per_s": 0.042})])
+    assert " a/a +4.2% " in line and line.endswith("wins 10")
+    # the magnitude counts: an A/A move of -4.2% bars the claim as well
+    line = canned_main(tmp_path, monkeypatch, capsys, [aa_entry({"throughput_per_s": -0.042})])
+    assert " a/a -4.2% " in line and line.endswith("wins 10")
+    # the latest A/A entry is read, past later entries that are not A/A
+    trajectory = [aa_entry({"throughput_per_s": 0.042}), aa_entry({"throughput_per_s": -0.01}),
+                  aa_entry({"throughput_per_s": 0.5}, "a change")]
+    line = canned_main(tmp_path, monkeypatch, capsys, trajectory)
+    assert " a/a -1.0% " in line and line.endswith("wins 10 CLAIM")
+    # an A/A entry without this metric leaves its claim to the other rules
+    line = canned_main(tmp_path, monkeypatch, capsys, [aa_entry({"lat_p50_ms": 0.5})])
+    assert " a/a - " in line and line.endswith("wins 10 CLAIM")
+
+
+def test_each_workloads_committed_a_a_entry_is_read():
+    for workload in ("log-quorum", "exch-topic-backlog", "harness-faults"):
+        moves = ab.aa_moves(ROOT / f"BENCH_{workload}.json")
+        assert set(moves) >= {"throughput_per_s", "lat_p50_ms"}, workload

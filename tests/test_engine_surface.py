@@ -16,7 +16,7 @@ CALLER_DIRS = ("src", "perfbench", "demos")
 
 # public names kept without a caller
 KEEP = {
-    # read the `.seg` files a restart will recover from (ROADMAP item 3)
+    # read the `.seg` files a restart will recover from (ROADMAP item 9)
     "segment_paths",
     "iter_records",
     # the library surface of two exchange features that neither the harness

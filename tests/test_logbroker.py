@@ -3,15 +3,19 @@ compaction, movement and crash semantics."""
 
 import dataclasses
 import itertools
+import json
 import random
+import struct
 import time
 
 import pytest
 
 from duolog.core import BrokerDown, FlushPolicy, Message
 from duolog.logbroker import (
+    _ACK_PHASE,
     _KEYS_CACHED,
     _keyed_partition,
+    _quorum_offset,
     AckPhase,
     AppendReceipt,
     DuplicateTopic,
@@ -23,6 +27,7 @@ from duolog.logbroker import (
     OffsetOutOfRange,
     PurgeReport,
     ReplicaExists,
+    Replica,
     RetentionPolicy,
     TopicConfig,
     decode_record,
@@ -111,6 +116,120 @@ def test_record_codec_rejects_unknown_version():
     rec[24] = 99
     with pytest.raises(ValueError):
         decode_record(bytes(rec))
+
+
+# The codec as it was before it read each field once and filled `Message`
+# through its slot setters: the references the current one must equal.
+_REF_RECORD = struct.Struct("<IIQQBqqIIII")
+_REF_FIXED = _REF_RECORD.size - struct.calcsize("<IIQQ")
+
+
+def reference_encode_record(offset, msg):
+    flow = b"" if msg.flow_id is None else msg.flow_id.encode()
+    key = b"" if msg.key is None else msg.key
+    rk = b"" if msg.routing_key is None else msg.routing_key.encode()
+    headers = (
+        json.dumps(msg.headers, sort_keys=True, separators=(",", ":")).encode()
+        if msg.headers else b""
+    )
+    payload = msg.payload
+    return b"".join((
+        _REF_RECORD.pack(
+            len(payload),
+            _REF_FIXED + len(flow) + len(key) + len(rk) + len(headers),
+            offset,
+            msg.produced_at,
+            1,
+            msg.seq_no,
+            -(1 << 63) if msg.ttl_ms is None else msg.ttl_ms,
+            0xFFFFFFFF if msg.flow_id is None else len(flow),
+            0xFFFFFFFF if msg.key is None else len(key),
+            0xFFFFFFFF if msg.routing_key is None else len(rk),
+            len(headers),
+        ),
+        flow, key, rk, headers, payload,
+    ))
+
+
+def reference_decode_record(buf, pos=0):
+    (payload_len, _, offset, produced_at, version, seq, ttl,
+     flow_len, key_len, rk_len, headers_len) = _REF_RECORD.unpack_from(buf, pos)
+    assert version == 1
+    pos += _REF_RECORD.size
+    flow = None
+    if flow_len != 0xFFFFFFFF:
+        flow = buf[pos:pos + flow_len].decode()
+        pos += flow_len
+    key = None
+    if key_len != 0xFFFFFFFF:
+        key = buf[pos:pos + key_len]
+        pos += key_len
+    rk = None
+    if rk_len != 0xFFFFFFFF:
+        rk = buf[pos:pos + rk_len].decode()
+        pos += rk_len
+    headers = {}
+    if headers_len:
+        headers = json.loads(buf[pos:pos + headers_len])
+        pos += headers_len
+    end = pos + payload_len
+    msg = Message(
+        flow, seq, buf[pos:end], key, rk, headers, produced_at,
+        None if ttl == -(1 << 63) else ttl,
+    )
+    return offset, msg, end
+
+
+# every None/present combination of flow id, key, routing key, headers and ttl
+ORACLE_MESSAGES = [
+    Message(flow, 2**40 + i, payload=b"\x00p" * i, key=key, routing_key=rk,
+            headers=headers, produced_at=7 * i, ttl_ms=ttl)
+    for i, (flow, key, rk, headers, ttl) in enumerate(itertools.product(
+        [None, "flüß-流"], [None, b"\x00k\xff"], [None, "a.b.c"],
+        [{}, {"h": [1, {"é": None}]}], [None, 250],
+    ))
+]
+
+
+def fields_of(msg):
+    """Each field's type and value, so `b"k"` and `bytearray(b"k")` differ."""
+    values = [getattr(msg, f.name) for f in dataclasses.fields(msg)]
+    return [(type(v), v) for v in values]
+
+
+def test_the_codec_equals_its_reference_on_every_field_combination():
+    assert len(ORACLE_MESSAGES) == 32
+    for i, msg in enumerate(ORACLE_MESSAGES):
+        rec = encode_record(100 + i, msg)
+        assert rec == reference_encode_record(100 + i, msg), msg
+        off, got, end = decode_record(rec)
+        ref_off, ref, ref_end = reference_decode_record(rec)
+        assert (off, end) == (ref_off, ref_end) == (100 + i, len(rec))
+        assert fields_of(got) == fields_of(ref) == fields_of(msg)
+        # each decode builds its own headers dict, shared with no other message
+        again = decode_record(rec)[1]
+        assert got.headers == again.headers and got.headers is not again.headers
+        assert got.headers is not msg.headers
+        got.headers["added"] = 1
+        assert "added" not in again.headers and "added" not in msg.headers
+        assert record_key(rec) == (100 + i, msg.key)
+
+
+def test_the_codec_walks_concatenated_records_as_its_reference_does():
+    buf = b"".join(reference_encode_record(i, m) for i, m in enumerate(ORACLE_MESSAGES))
+    got = list(iter_records(buf))
+    pos, ref = 0, []
+    while pos < len(buf):
+        off, msg, pos = reference_decode_record(buf, pos)
+        ref.append((off, msg))
+    assert [(off, fields_of(m)) for off, m in got] == [(off, fields_of(m)) for off, m in ref]
+    assert [m for _, m in got] == ORACLE_MESSAGES
+    # a record decoded in the middle of a buffer ends where the next begins
+    starts = [0]
+    for i, m in enumerate(ORACLE_MESSAGES):
+        starts.append(starts[-1] + len(encode_record(i, m)))
+    for i in range(len(ORACLE_MESSAGES)):
+        assert decode_record(buf, starts[i])[0::2] == (i, starts[i + 1])
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +390,148 @@ def test_ack_phases():
     assert eng.append_batch("t", 0, msgs("f", 0, 1), LogAckMode.ACKS_0).acked_at_phase is AckPhase.ENQUEUED
     assert eng.append_batch("t", 0, msgs("f", 1, 1), LogAckMode.ACKS_1).acked_at_phase is AckPhase.LEADER
     assert eng.append_batch("t", 0, msgs("f", 2, 1), LogAckMode.ACKS_QUORUM).acked_at_phase is AckPhase.QUORUM
+
+
+@pytest.mark.parametrize("acks,phase", [
+    (LogAckMode.ACKS_0, AckPhase.ENQUEUED),
+    (LogAckMode.ACKS_1, AckPhase.LEADER),
+    (LogAckMode.ACKS_QUORUM, AckPhase.QUORUM),
+])
+@pytest.mark.parametrize("rf", [1, 3])
+def test_append_names_the_phase_of_each_ack_mode(acks, phase, rf):
+    assert _ACK_PHASE[acks] is phase
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=rf))
+    eng.append_batch("t", 0, msgs("f", 0, 2), acks)
+    assert eng.append_batch("t", 0, msgs("f", 2, 3), acks) == AppendReceipt(2, 3, phase)
+
+
+def test_append_with_a_value_that_is_no_ack_mode_raises_as_before():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t"))
+    with pytest.raises(KeyError):
+        eng.append_batch("t", 0, msgs("f", 0, 1), "quorum")
+
+
+FLUSH_POLICIES = [
+    FlushPolicy(flush_interval_messages=3, flush_interval_ms=None),
+    FlushPolicy(flush_interval_messages=None, flush_interval_ms=5),
+    FlushPolicy(flush_interval_messages=4, flush_interval_ms=7),
+    FlushPolicy(flush_interval_messages=1, flush_interval_ms=0),
+]
+
+
+@pytest.mark.parametrize("policy", FLUSH_POLICIES)
+def test_each_replica_flushes_exactly_when_its_flush_policy_is_due(policy):
+    """The append's inline flush check against `FlushPolicy.due`, replica by
+    replica, over batches of 1-3 messages at clock steps of 0-3 ms."""
+    now = [0]
+    eng = LogEngine(3, clock=lambda: now[0])
+    eng.create_topic(TopicConfig("t", replication_factor=3, flush=policy))
+    replicas = eng._topic("t").partitions[0].replicas
+    rng = random.Random(7)
+    flushes = 0
+    for i in range(200):
+        now[0] += rng.randrange(4) * 1_000_000
+        n = rng.randrange(1, 4)
+        due = [policy.due(rep.next_offset + n - rep.flushed_up_to, now[0] - rep.last_flush_ns)
+               for rep in replicas]
+        before = [(rep.flushed_up_to, rep.last_flush_ns) for rep in replicas]
+        eng.append_batch("t", 0, msgs("f", 3 * i, n), LogAckMode.ACKS_QUORUM)
+        for rep, d, b in zip(replicas, due, before):
+            assert (rep.flushed_up_to, rep.last_flush_ns) == ((rep.next_offset, now[0]) if d else b)
+        flushes += sum(due)
+    assert 0 < flushes < 600 or policy.flush_interval_messages == 1
+
+
+def test_a_replica_flushes_at_the_message_bound_and_at_the_age_bound_exactly():
+    now = [0]
+    eng = LogEngine(3, clock=lambda: now[0])
+    eng.create_topic(TopicConfig("t", replication_factor=3, flush=FlushPolicy(
+        flush_interval_messages=3, flush_interval_ms=5)))
+    replicas = eng._topic("t").partitions[0].replicas
+
+    def flushed():
+        return [rep.flushed_up_to for rep in replicas]
+
+    for i, expected in enumerate([0, 0, 3, 3, 3, 6]):  # the third message of each three
+        eng.append_batch("t", 0, msgs("f", i, 1), LogAckMode.ACKS_QUORUM)
+        assert flushed() == [expected] * 3, i
+    now[0] = 5_000_000 - 1  # one nanosecond short of the age bound
+    eng.append_batch("t", 0, msgs("f", 6, 1), LogAckMode.ACKS_QUORUM)
+    assert flushed() == [6, 6, 6]
+    now[0] = 5_000_000  # the age bound, reached exactly
+    eng.append_batch("t", 0, msgs("f", 7, 1), LogAckMode.ACKS_QUORUM)
+    assert flushed() == [8, 8, 8]
+    assert [rep.last_flush_ns for rep in replicas] == [5_000_000] * 3
+
+
+@pytest.mark.parametrize("rf", [1, 2, 3, 4, 5])
+def test_the_quorum_offset_is_the_sorted_pick_over_every_ordering(rf):
+    replicas = [Replica(f"n{i}", "t", 0) for i in range(rf)]
+    for offsets in itertools.product((0, 1, 2), repeat=rf):
+        for rep, off in zip(replicas, offsets):
+            rep.next_offset = off
+        assert _quorum_offset(replicas, rf) == sorted(offsets)[-quorum_size(rf)], offsets
+
+
+def reference_high_watermark(eng, floor):
+    """The watermark by the sorted pick, with `floor` the reference's own
+    record of the quorum offsets that crashes have since hidden; None when
+    it needs the leader and every replica is down."""
+    part = eng._topic("t").partitions[0]
+    rf = len(part.replicas)
+    hw = sorted(r.next_offset for r in part.replicas)[-quorum_size(rf)]
+    if rf > 1 and floor <= hw:
+        return hw
+    leader_end = max((r.next_offset for r in part.replicas if eng.nodes[r.node_id].alive),
+                     default=None)
+    if leader_end is None or rf == 1:
+        return leader_end
+    return min(floor, leader_end)
+
+
+@pytest.mark.parametrize("rf", [2, 3])
+@pytest.mark.parametrize("flush", [NO_TIME_FLUSH, FlushPolicy(4, None)])
+def test_the_high_watermark_follows_the_sorted_pick_through_crash_and_catch_up(rf, flush):
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=rf, flush=flush))
+    part = eng._topic("t").partitions[0]
+    floor = seq = below_floor = 0
+    # under `FlushPolicy(4, None)` the first append is flushed and the second not
+    script = [("append", LogAckMode.ACKS_QUORUM, 5), ("append", LogAckMode.ACKS_QUORUM, 3),
+              ("crash", "n1"),
+              ("append", LogAckMode.ACKS_1, 3), ("crash", "n0"),
+              ("append", LogAckMode.ACKS_1, 2), ("restart", "n0"),
+              ("restart", "n1"), ("append", LogAckMode.ACKS_QUORUM, 2)]
+    if rf == 3:
+        script[4:4] = [("crash", "n2"), ("append", LogAckMode.ACKS_1, 1), ("restart", "n2")]
+    for step in script:
+        if step[0] == "crash":
+            floor = max(floor, sorted(r.next_offset for r in part.replicas)[-quorum_size(rf)])
+            eng.crash_node(step[1])
+        elif step[0] == "restart":
+            eng.restart_node(step[1])
+        else:
+            try:
+                eng.append_batch("t", 0, msgs("f", seq, step[2]), step[1])
+                seq += step[2]
+            except BrokerDown:
+                pass  # all replicas down, or no quorum: nothing to compare yet
+        assert part.hw_floor == floor, step
+        below_floor += floor > sorted(r.next_offset for r in part.replicas)[-quorum_size(rf)]
+        expected = reference_high_watermark(eng, floor)
+        if expected is None:
+            with pytest.raises(BrokerDown):
+                eng.high_watermark("t", 0)
+        else:
+            assert eng.high_watermark("t", 0) == expected, step
+        if not any(eng.nodes[r.node_id].alive for r in part.replicas):
+            with pytest.raises(BrokerDown):
+                eng.fetch("t", 0, 0)
+        else:
+            assert eng.fetch("t", 0, 0)[1] == expected, step
+    assert below_floor  # the script reached the `hw_floor` path
 
 
 def test_quorum_needs_majority():

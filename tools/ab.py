@@ -15,8 +15,11 @@ of those its unscaled value as `<name>.raw`) the tool prints
 each side's quartiles, the parent's interquartile range as a share of its
 median, the change's median over the parent's, and the pairs the change won.
 A metric is flagged as a claim when the change won at least nine pairs in
-ten and its median moved by more than the parent's interquartile range, and
-as worse when its median is worse by more than the metric's bound.  Beside
+ten, its median moved by more than the parent's interquartile range and, if
+`BENCH_<workload>.json` holds an A/A entry (one whose description starts
+with `A/A:`), by more than the median move that the latest such entry
+recorded for the metric, which is printed beside it; it is flagged as worse
+when its median is worse by more than the metric's bound.  Beside
 each median ratio stands its 95% interval from a seeded paired bootstrap:
 the pairs resampled with replacement, the ratio of medians taken per
 resample, and the 2.5th and 97.5th percentiles of those ratios.
@@ -47,6 +50,7 @@ TIME_UNITS = ("us", "ms")  # per-layer units scaled by host speed
 RAW = ".raw"  # suffix of a scaled metric's unscaled twin
 RESAMPLES = 2000  # bootstrap resamples per metric
 SEED = 0  # of the bootstrap's generator, so the same pairs give the same interval
+AA = "A/A:"  # how the description of a tree-against-itself entry starts
 
 
 def last_result(stdout: str) -> dict:
@@ -108,8 +112,20 @@ def bootstrap_ratio(pairs: list) -> tuple:
     return (ratios[int(0.025 * (len(ratios) - 1))], ratios[math.ceil(0.975 * (len(ratios) - 1))])
 
 
-def compare(pairs: list, better: str, bound: float | None = None) -> dict:
-    """Statistics of one metric over (parent, change) value pairs."""
+def aa_moves(path: Path) -> dict:
+    """Metric name -> median move (change over parent, less 1) of the latest
+    A/A entry of the trajectory file `path`; empty if it has none."""
+    trajectory = json.loads(path.read_text())["trajectory"] if path.exists() else []
+    entries = [e for e in trajectory if e["change"].startswith(AA)]
+    if not entries:
+        return {}
+    return {name: m["change_vs_parent_median"] for name, m in entries[-1]["metrics"].items()}
+
+
+def compare(pairs: list, better: str, bound: float | None = None,
+            aa: float | None = None) -> dict:
+    """Statistics of one metric over (parent, change) value pairs; `aa` is
+    the metric's A/A median move, which a claim must also exceed."""
     parent = quartiles([p for p, _ in pairs])
     change = quartiles([c for _, c in pairs])
     sign = 1 if better == "higher" else -1
@@ -124,7 +140,9 @@ def compare(pairs: list, better: str, bound: float | None = None) -> dict:
         "change_vs_parent_median": ratio,
         "ratio_ci95": bootstrap_ratio(pairs),
         "change_better_pairs": wins,
-        "claim": wins >= math.ceil(0.9 * len(pairs)) and sign * moved > spread,
+        "aa": aa,
+        "claim": (wins >= math.ceil(0.9 * len(pairs)) and sign * moved > spread
+                  and (aa is None or sign * ratio > abs(aa))),
         "worse": bound is not None and -sign * ratio > bound,
     }
 
@@ -156,10 +174,11 @@ def report(name: str, stats: dict) -> str:
     p, c = stats["parent"], stats["change"]
     lo, hi = stats["ratio_ci95"]
     flags = (" CLAIM" if stats["claim"] else "") + (" WORSE-THAN-BOUND" if stats["worse"] else "")
+    aa = "-" if stats["aa"] is None else f"{stats['aa']:+.1%}"
     return (f"  {name:<44} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
             f" iqr {stats['parent_iqr_share']:+.1%}  change {c['median']:.6g}"
             f" [{c['q1']:.6g}, {c['q3']:.6g}]  median {stats['change_vs_parent_median']:+.1%}"
-            f" ci95 [{lo:+.1%}, {hi:+.1%}]  wins {stats['change_better_pairs']}{flags}")
+            f" a/a {aa} ci95 [{lo:+.1%}, {hi:+.1%}]  wins {stats['change_better_pairs']}{flags}")
 
 
 def entry(text: str, parent: str, workload: str, args, seeds: list, stats: dict,
@@ -237,9 +256,11 @@ def main(argv=None) -> int:
 
     pairs = {name: [(p.get(name, 0.0), c.get(name, 0.0))
                     for p, c in zip(runs["parent"], runs["change"])] for name in metrics}
+    path = ROOT / f"BENCH_{args.workload}.json"
+    aa = aa_moves(path)
     # a metric that reads 0 in every run is one this workload does not measure
     stats = {
-        name: compare(pairs[name], better, bound)
+        name: compare(pairs[name], better, bound, aa.get(name))
         for name, (better, bound, _) in metrics.items() if any(map(any, pairs[name]))
     }
     print(f"{args.workload}: {args.pairs} pairs, failed parent {failed['parent']}"
@@ -247,7 +268,6 @@ def main(argv=None) -> int:
     for name, s in stats.items():
         print(report(name, s))
     if args.record:
-        path = ROOT / f"BENCH_{args.workload}.json"
         parent = (parent_sha or "unknown")[:7]
         append_entry(path, args.workload,
                      entry(args.record, parent, args.workload, args, seeds, stats, failed))
