@@ -327,15 +327,20 @@ class Journal:
         self._lock = threading.Lock()
 
     def append(self, flow: str, seq: int, event: JournalEvent, at_ns: int) -> None:
-        with self._lock:
-            last = self._last_at.get(flow)
+        lock = self._lock
+        lock.acquire()
+        try:
+            last_at = self._last_at
+            last = last_at.get(flow)
             if last is not None and at_ns < last:
                 raise ValueError(
                     f"journal timestamps must be non-decreasing per flow "
                     f"({flow}: {at_ns} < {last})"
                 )
-            self._last_at[flow] = at_ns
+            last_at[flow] = at_ns
             self._entries.append((flow, seq, event, at_ns))
+        finally:
+            lock.release()
 
     def _rows(self) -> list[tuple[str, int, JournalEvent, int]]:
         """A snapshot of the entries as exact tuples, read once under the lock."""

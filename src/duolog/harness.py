@@ -15,12 +15,12 @@ engine, which keeps no consumer state).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     BrokerDown,
@@ -57,6 +57,8 @@ T_POLL_INTERVAL = 400_000
 T_PROCESS = 20_000
 T_RETRY_BASE = 3_000_000
 JITTER_NS = 10_000
+_JITTER_BITS = JITTER_NS.bit_length()
+_NEVER = float("inf")  # the next due index of a trigger with nothing left to fire
 
 
 class FaultKind(Enum):
@@ -110,6 +112,14 @@ class Phase(Enum):
     T3_CONFIRMED = 3
     T4_DELIVERED = 4
     T5_ACKED_OR_RETAINED = 5
+
+
+# a set of phases as a mask, bit `p` for the phase whose value is `p`, and
+# the phases of each mask in phase order
+_T1, _T2, _T3, _T4, _T5 = (1 << p.value for p in Phase)
+_MASK_PHASES = tuple(
+    tuple(p for p in Phase if mask >> p.value & 1) for mask in range(2 << len(Phase))
+)
 
 
 class PhaseEvent(NamedTuple):
@@ -284,7 +294,13 @@ def build_log_engine(
 ) -> tuple[LogEngine, LogAckMode]:
     """A log engine with a topic per name in `topics`, and its appends' ack
     mode, from a scenario `topology` (see `_LOG_KEYS`)."""
-    t = _log_topology(topology)
+    return _log_engine(_log_topology(topology), qos, clock, costs, topics)
+
+
+def _log_engine(
+    t: dict, qos: QoSConfig, clock: Clock, costs: bool, topics: list
+) -> tuple[LogEngine, LogAckMode]:
+    """`build_log_engine` from the topology `_log_topology` returned."""
     rf = qos.replication_factor
     flush = FlushPolicy(t["flush_messages"], t["flush_ms"])
     # modeled device costs: a flush's fsync, a quorum ack's second round trip
@@ -340,31 +356,42 @@ class _Run:
         scenario.validate()
         self.s = scenario
         self.rng = random.Random(scenario.seed)
-        # what rng.randrange(n) calls for an int n > 0, without its checks
-        self._randbelow = self.rng._randbelow
+        self._getrandbits = self.rng.getrandbits
         self.clock = _VirtualClock()
         self.heap: list = []
         self._seq = itertools.count()
         self.produced = Journal()
         self.consumed = Journal()
         self.phases: list[PhaseEvent] = []
-        # (flow, seq) pairs already recorded, one set per phase, indexed by
-        # the phase's int value so the Phase enum is never hashed
-        self._phase_seen: list[set] = [set() for _ in range(len(Phase) + 1)]
+        # (flow, seq) -> the phases already recorded for it, bit `p` set
+        # for the phase whose int value is `p`
+        self._phase_mask: dict[tuple, int] = {}
         self.produce_attempts = 0
         self.deliveries = 0
         self.drain_deadline: Optional[int] = None
         self._confirmed: set = set()
         self._fired: set = set()
+        # per trigger, its (plan index, event) pairs in plan order, and the
+        # lowest `index` among those not fired: a counter below it fires none
+        self._plan: dict[str, list] = {}
+        for i, ev in enumerate(scenario.faults.events):
+            self._plan.setdefault(ev.on, []).append((i, ev))
+        self._next_due = {on: min(ev.index for _, ev in evs) for on, evs in self._plan.items()}
 
     # -- scheduling --------------------------------------------------------
 
     def at(self, delay_ns: int, fn, *args) -> None:
-        t = self.clock.t + delay_ns + self._randbelow(JITTER_NS)
-        heapq.heappush(self.heap, (t, next(self._seq), fn, args))
+        # the jitter is `rng.randrange(JITTER_NS)`, drawn as
+        # `Random._randbelow_with_getrandbits` draws it, so the stream is
+        # the same
+        getrandbits = self._getrandbits
+        r = getrandbits(_JITTER_BITS)
+        while r >= JITTER_NS:
+            r = getrandbits(_JITTER_BITS)
+        heappush(self.heap, (self.clock.t + delay_ns + r, next(self._seq), fn, args))
 
     def run_loop(self) -> None:
-        heap, clock, pop = self.heap, self.clock, heapq.heappop
+        heap, clock, pop = self.heap, self.clock, heappop
         while heap:
             t, _, fn, args = pop(heap)
             if t > clock.t:
@@ -373,45 +400,43 @@ class _Run:
 
     # -- recording ----------------------------------------------------------
 
-    def now(self) -> int:
-        return self.clock.t
-
-    def phase(self, phase: Phase, flow: str, seq: int) -> None:
-        seen = self._phase_seen[phase._value_]
+    def record_phases(self, flow: str, seq: int, mask: int) -> None:
+        """Record, in phase order and at this instant, each phase of `mask`
+        not yet recorded for (flow, seq)."""
         key = (flow, seq)
-        if key in seen:
-            return
-        seen.add(key)
-        self.phases.append(_new_tuple(PhaseEvent, (phase, flow, seq, self.clock.t)))
+        seen = self._phase_mask.get(key, 0)
+        new = mask & ~seen
+        if new:
+            self._phase_mask[key] = seen | new
+            t = self.clock.t
+            append = self.phases.append
+            for phase in _MASK_PHASES[new]:
+                append(_new_tuple(PhaseEvent, (phase, flow, seq, t)))
 
     def record_produced(self, msg: Message) -> None:
-        self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.PRODUCED, self.now())
-        self.phase(Phase.T1_PRODUCED, msg.flow_id, msg.seq_no)
-
-    def record_handled(self, msg: Message) -> None:
-        self.phase(Phase.T2_HANDLED, msg.flow_id, msg.seq_no)
+        self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.PRODUCED, self.clock.t)
+        self.record_phases(msg.flow_id, msg.seq_no, _T1)
 
     def record_confirmed(self, msg: Message) -> None:
-        if (msg.flow_id, msg.seq_no) in self._confirmed:
+        key = (msg.flow_id, msg.seq_no)
+        if key in self._confirmed:
             return
-        self._confirmed.add((msg.flow_id, msg.seq_no))
-        self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.CONFIRMED, self.now())
-        self.phase(Phase.T3_CONFIRMED, msg.flow_id, msg.seq_no)
+        self._confirmed.add(key)
+        self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.CONFIRMED, self.clock.t)
+        self.record_phases(msg.flow_id, msg.seq_no, _T3)
 
     def record_delivered(self, flow: str, seq: int) -> None:
         self.deliveries += 1
-        self.consumed.append(flow, seq, JournalEvent.DELIVERED, self.now())
+        self.consumed.append(flow, seq, JournalEvent.DELIVERED, self.clock.t)
         # a delivery proves the broker handled the message and that its ack
         # condition held by now, even if the producer never saw the ack
         # (e.g. a quorum formed by follower catch-up after a failed attempt):
         # backfill those milestones at this instant if they are missing
-        self.phase(Phase.T2_HANDLED, flow, seq)
-        self.phase(Phase.T3_CONFIRMED, flow, seq)
-        self.phase(Phase.T4_DELIVERED, flow, seq)
+        self.record_phases(flow, seq, _T2 | _T3 | _T4)
 
     def record_acked(self, flow: str, seq: int) -> None:
-        self.consumed.append(flow, seq, JournalEvent.ACKED, self.now())
-        self.phase(Phase.T5_ACKED_OR_RETAINED, flow, seq)
+        self.consumed.append(flow, seq, JournalEvent.ACKED, self.clock.t)
+        self.record_phases(flow, seq, _T5)
 
     # -- faults --------------------------------------------------------------
 
@@ -421,16 +446,22 @@ class _Run:
                 self.at(ev.at_ms * 1_000_000, apply, ev)
                 self._fired.add(i)
 
-    def due(self, on: str, counter: int, kind: Optional[FaultKind] = None) -> list[FaultEvent]:
-        out = []
-        for i, ev in enumerate(self.s.faults.events):
-            if i in self._fired or ev.on != on:
+    def due(self, on: str, counter: int, kind: Optional[FaultKind] = None) -> Sequence[FaultEvent]:
+        """The events on trigger `on`, of kind `kind` if given, not fired yet
+        and whose `index` the counter has reached, in plan order; they are
+        marked fired."""
+        if counter < self._next_due.get(on, _NEVER):
+            return ()
+        fired, out, waiting = self._fired, [], _NEVER
+        for i, ev in self._plan[on]:
+            if i in fired:
                 continue
-            if kind is not None and ev.kind is not kind:
-                continue
-            if counter >= ev.index:
-                self._fired.add(i)
+            if counter >= ev.index and (kind is None or ev.kind is kind):
+                fired.add(i)
                 out.append(ev)
+            elif ev.index < waiting:
+                waiting = ev.index
+        self._next_due[on] = waiting
         return out
 
 
@@ -460,6 +491,7 @@ class _Scenario:
         self.stop_and_wait = s.qos.ordering is not Ordering.NONE
         self.payload = b"\x00" * w.record_size_bytes
         self.producers = [_Producer(self, i, w.messages_per_producer) for i in range(w.producers)]
+        self.producers_done = 0  # kept by `_Producer._maybe_done`
 
     def start(self) -> None:
         run = self.run
@@ -482,9 +514,6 @@ class _Scenario:
             self.consumer(ev.target).crash(ev.down_ms)
         # DROP_ACK / DELAY_ACK are consulted at confirm time via run.due()
 
-    def producers_all_done(self) -> bool:
-        return all(p.done for p in self.producers)
-
 
 class _Producer:
     """One flow's produce / confirm / retry state machine; the adapter's
@@ -505,17 +534,13 @@ class _Producer:
             return
         if scn.stop_and_wait and self.outstanding:
             return  # confirm or retry events drive progress
-        n = min(scn.batch_size, self.total - self.sent)
-        now = run.now()
-        key = self.flow.encode() if scn.keyed else None
-        batch = tuple(
-            Message(
-                self.flow, self.sent + i, payload=scn.payload,
-                key=key, routing_key=scn.routing_key, produced_at=now,
-            )
-            for i in range(n)
-        )
-        self.sent += n
+        sent = self.sent
+        end = min(sent + scn.batch_size, self.total)
+        flow, payload, routing_key, now = self.flow, scn.payload, scn.routing_key, run.clock.t
+        key = flow.encode() if scn.keyed else None
+        # positionally: flow_id, seq_no, payload, key, routing_key, headers, produced_at
+        batch = [Message(flow, seq, payload, key, routing_key, {}, now) for seq in range(sent, end)]
+        self.sent = end
         for m in batch:
             run.record_produced(m)
         self.outstanding += 1
@@ -523,7 +548,7 @@ class _Producer:
         if not scn.stop_and_wait:
             run.at(T_PRODUCE_GAP, self.step)
 
-    def attempt(self, batch: tuple, attempt: int) -> None:
+    def attempt(self, batch: list, attempt: int) -> None:
         scn, run = self.scn, self.scn.run
         run.produce_attempts += 1
         for ev in run.due("produce", run.produce_attempts, FaultKind.CRASH_NODE):
@@ -533,12 +558,11 @@ class _Producer:
         if outcome == "down":
             self._no_ack(batch, attempt)
             return
+        # t3 is when the broker emits the ack; the producer may see it
+        # later (or, under ack faults, never)
+        mask = _T2 | _T3 if outcome == "confirmed" else _T2
         for m in batch:
-            run.record_handled(m)
-            if outcome == "confirmed":
-                # t3 is when the broker emits the ack; the producer may see
-                # it later (or, under ack faults, never)
-                run.phase(Phase.T3_CONFIRMED, m.flow_id, m.seq_no)
+            run.record_phases(m.flow_id, m.seq_no, mask)
         if outcome == "nacked" or run.due("produce", run.produce_attempts, FaultKind.DROP_ACK):
             self._no_ack(batch, attempt)
             return
@@ -551,21 +575,21 @@ class _Producer:
     def _backoff(self, attempt: int) -> int:
         return T_RETRY_BASE * (2 ** (attempt - 1))
 
-    def _confirmed(self, batch: tuple) -> bool:
+    def _confirmed(self, batch: list) -> bool:
         confirmed = self.scn.run._confirmed
         for m in batch:
             if (m.flow_id, m.seq_no) not in confirmed:
                 return False
         return True
 
-    def _no_ack(self, batch: tuple, attempt: int) -> None:
+    def _no_ack(self, batch: list, attempt: int) -> None:
         run = self.scn.run
         if not self.scn.at_least_once or attempt > run.s.retry_limit:
             self._resolve()  # fire-and-forget or retries exhausted
             return
         run.at(self._backoff(attempt), self.retry, batch, attempt)
 
-    def retry(self, batch: tuple, attempt: int) -> None:
+    def retry(self, batch: list, attempt: int) -> None:
         if self._confirmed(batch):
             return
         if attempt >= self.scn.run.s.retry_limit:
@@ -573,7 +597,7 @@ class _Producer:
             return
         self.attempt(batch, attempt + 1)
 
-    def confirm(self, batch: tuple) -> None:
+    def confirm(self, batch: list) -> None:
         if self._confirmed(batch):
             return
         for m in batch:
@@ -586,8 +610,9 @@ class _Producer:
         self._maybe_done()
 
     def _maybe_done(self) -> None:
-        if self.sent >= self.total and self.outstanding <= 0:
+        if not self.done and self.sent >= self.total and self.outstanding <= 0:
             self.done = True
+            self.scn.producers_done += 1
 
 
 class _Consumer:
@@ -619,11 +644,12 @@ class _Consumer:
         raise NotImplementedError
 
     def _reschedule(self) -> None:
-        run = self.scn.run
-        if self.scn.producers_all_done():
+        scn = self.scn
+        run = scn.run
+        if scn.producers_done == len(scn.producers):
             if run.drain_deadline is None:
-                run.drain_deadline = run.now() + run.s.drain_deadline_ms * 1_000_000
-            if (self.scn.drained() and not self.crashed) or run.now() > run.drain_deadline:
+                run.drain_deadline = run.clock.t + run.s.drain_deadline_ms * 1_000_000
+            if (scn.drained() and not self.crashed) or run.clock.t > run.drain_deadline:
                 return
         run.at(T_POLL_INTERVAL, self.poll)
 
@@ -637,10 +663,9 @@ class _LogScenario(_Scenario):
         super().__init__(run)
         s = run.s
         self.topic = "t"
-        self.engine, self.ack_mode = build_log_engine(
-            s.topology, s.qos, run.clock.now, False, [self.topic]
-        )
-        self.batch_size = _log_topology(s.topology)["producer_batch"]
+        t = _log_topology(s.topology)
+        self.engine, self.ack_mode = _log_engine(t, s.qos, run.clock.now, False, [self.topic])
+        self.batch_size = t["producer_batch"]
         self.keyed = s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
         members = [f"c{i}" for i in range(s.workload.consumers)]
         self.group = "g"
@@ -659,12 +684,12 @@ class _LogScenario(_Scenario):
         else:
             super().apply_fault(ev)
 
-    def send(self, batch: tuple) -> str:
+    def send(self, batch: list) -> str:
         try:
             self.engine.append_batch(
                 self.topic,
                 self.engine.partition_for(self.topic, batch[0].key),
-                list(batch),
+                batch,
                 self.ack_mode,
             )
         except BrokerDown:
@@ -762,7 +787,7 @@ class _ExchScenario(_Scenario):
     def crash_target(self) -> str:
         return self.engine._queue("/", self.queue).home_node
 
-    def send(self, batch: tuple) -> str:
+    def send(self, batch: list) -> str:
         (msg,) = batch
         try:
             confirm = self.engine.publish(
@@ -809,7 +834,7 @@ class _ExchConsumer(_Consumer):
     def _poll_once(self) -> None:
         scn, run = self.scn, self.scn.run
         try:
-            got = self.handle.pull(10)
+            got = scn.engine.pull(scn.queue, self.consumer_id, 10)
         except BrokerDown:
             got = []
         for d in got:
@@ -827,7 +852,7 @@ class _ExchConsumer(_Consumer):
                 if self.crashed:
                     break  # unacked deliveries were requeued by the crash
                 try:
-                    self.handle.ack(d.tag)
+                    scn.engine.ack(scn.queue, d.tag)
                 except UnknownTag:
                     break  # a node crash requeued the batch and voided its tags
                 run.record_acked(flow, seq)

@@ -657,6 +657,16 @@ class LogEngine(BrokerContract):
             raise UnknownPartition(f"{topic}/{partition}")
         part = t.partitions[partition]
         cfg = t.config
+        # the phase named by identity, before anything is appended: a value
+        # that is no ack mode raises `_ACK_PHASE`'s `KeyError` with no
+        # replica moved, and `_ACK_PHASE[acks]` would run the Python-level
+        # `Enum.__hash__` for the two modes named here
+        if acks is LogAckMode.ACKS_QUORUM:
+            phase = AckPhase.QUORUM
+        elif acks is LogAckMode.ACKS_1:
+            phase = AckPhase.LEADER
+        else:
+            phase = _ACK_PHASE[acks]
         # a fault hook may crash a node under the lock, which re-enters it
         part.lock.acquire()
         try:
@@ -698,10 +708,7 @@ class LogEngine(BrokerContract):
                         self._flush(rep, cfg, now)
                 if rep.next_offset >= end:
                     acceptors += 1
-            # the phase named by identity: `_ACK_PHASE[acks]` would run the
-            # Python-level `Enum.__hash__`; it still serves `ACKS_0` and
-            # raises the `KeyError` of a value that is no ack mode
-            if acks is LogAckMode.ACKS_QUORUM:
+            if phase is AckPhase.QUORUM:
                 rf = cfg.replication_factor
                 if acceptors < quorum_size(rf):
                     raise BrokerDown(
@@ -709,11 +716,6 @@ class LogEngine(BrokerContract):
                     )
                 if rf >= 2 and self.replica_ack_rtt_ns:
                     spin_ns(self.replica_ack_rtt_ns)
-                phase = AckPhase.QUORUM
-            elif acks is LogAckMode.ACKS_1:
-                phase = AckPhase.LEADER
-            else:
-                phase = _ACK_PHASE[acks]
             return _new_tuple(AppendReceipt, (base, len(msgs), phase))
         finally:
             part.lock.release()
@@ -798,7 +800,9 @@ class LogEngine(BrokerContract):
         part = t.partitions[partition]
         part.lock.acquire()
         try:
-            return self._high_watermark(part, t.config.replication_factor)
+            # `_leader` raises `BrokerDown` when every replica is down, as
+            # `fetch` does
+            return self._high_watermark(part, t.config.replication_factor, self._leader(part))
         finally:
             part.lock.release()
 

@@ -508,6 +508,31 @@ def test_ack_of_an_unknown_or_settled_tag_raises_unknown_tag():
     assert eng.bodies.count() == 0
 
 
+def test_delivery_tags_are_unique_across_queues():
+    # one engine-wide tag sequence: a counter per queue would hand both
+    # queues the same tags
+    eng = make_engine()
+    chan = direct_setup(eng, queues=("q0", "q1"))
+    for seq in range(6):
+        eng.publish(chan, "ex", msg(seq, rk="k"))
+    consumers = [eng.consume(q, f"c-{q}", ConsumeMode.PULL, prefetch=20) for q in ("q0", "q1")]
+    tags = []
+    for round_ in range(4):
+        for cons in consumers:
+            got = cons.pull(2)
+            tags += [d.tag for d in got]
+            if round_ == 0 and cons.queue == "q0":
+                cons.nack(got.pop().tag)  # requeued: its next pull takes a new tag
+            if round_ == 1 and cons.queue == "q1":
+                # a second copy of an unacked delivery keeps its tag
+                dup = eng.redeliver_unacked("q1", got[0].tag)
+                assert dup.tag == got[0].tag and dup.redelivered
+            for d in got:
+                cons.ack(d.tag)
+    assert len(tags) == 13  # six per queue and the requeued one
+    assert len(set(tags)) == len(tags), sorted(tags)
+
+
 @pytest.mark.parametrize("auto_ack", [False, True])
 def test_a_pull_across_expired_entries_delivers_what_one_delivery_at_a_time_does(auto_ack):
     # a push consumer takes one head at a time, expiring before each; a pull

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import time
 import pytest
 
 from duolog import harness
-from duolog.core import CorrectnessReport, Delivery, Ordering, QoSConfig
+from duolog.core import CorrectnessReport, Delivery, Message, Ordering, QoSConfig
 from duolog.harness import (
     FaultEvent,
     FaultKind,
@@ -283,6 +284,120 @@ def test_phase_timeline_digest_over_seeds_0_to_999_is_pinned(engine):
         for p in run_scenario(random_scenario(engine, seed)).phases:
             h.update(f"{p.phase.value},{p.flow},{p.seq},{p.at_ns}\n".encode())
     assert h.hexdigest() == PHASE_DIGESTS[engine]
+
+
+# --------------------------------------------------------------------------
+# the run's bookkeeping against the code it replaced
+# --------------------------------------------------------------------------
+
+def reference_due(events, fired, on, counter, kind=None):
+    """The plan-order scan that `_Run.due` replaced: every event on
+    trigger `on` not in `fired`, of kind `kind` if given, whose index the
+    counter has reached, marked fired."""
+    out = []
+    for i, ev in enumerate(events):
+        if i in fired or ev.on != on:
+            continue
+        if kind is not None and ev.kind is not kind:
+            continue
+        if counter >= ev.index:
+            fired.add(i)
+            out.append(ev)
+    return out
+
+
+def random_plan(rng):
+    events = []
+    for _ in range(rng.randint(0, 7)):
+        on = rng.choice(["produce", "deliver", "time"])
+        kind = rng.choice(sorted(harness._TRIGGERED_KINDS[on], key=lambda k: k.value))
+        events.append(FaultEvent(kind, on=on, index=rng.randint(0, 9),
+                                 at_ms=rng.randint(0, 9) if on == "time" else None))
+    return tuple(events)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_due_equals_the_plan_order_scan_over_random_fault_plans(seed):
+    rng = random.Random(seed)
+    kinds = [None, *FaultKind]
+    for _ in range(60):
+        events = random_plan(rng)
+        run = harness._Run(Scenario(
+            engine="log", workload=Workload(), qos=QoSConfig(delivery=Delivery.AT_LEAST_ONCE),
+            faults=FaultPlan(events),
+        ))
+        run.schedule_time_faults(lambda ev: None)
+        fired = set(run._fired)
+        counters = {"produce": 0, "deliver": 0, "time": 0}
+        for _ in range(40):
+            on = rng.choice(list(counters))
+            # a counter repeats, steps, skips ahead or is drawn anew
+            counters[on] = rng.choice([counters[on], counters[on] + 1, counters[on] + 3,
+                                       rng.randint(0, 10)])
+            kind = rng.choice(kinds)
+            got = run.due(on, counters[on], kind)
+            assert list(got) == reference_due(events, fired, on, counters[on], kind), events
+            assert run._fired == fired
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_the_inline_jitter_draw_equals_randbelow(seed):
+    run = harness._Run(Scenario(engine="exch", workload=Workload(), qos=QoSConfig(), seed=seed))
+    for _ in range(10_000):
+        run.at(0, None)
+    jitters = [t - run.clock.t for t, _, _, _ in sorted(run.heap, key=lambda entry: entry[1])]
+    reference = random.Random(seed)
+    assert jitters == [reference._randbelow(harness.JITTER_NS) for _ in range(10_000)]
+
+
+class FiveSetPhases:
+    """The phase dedup that the per-message mask replaced: one set of
+    (flow, seq) pairs per phase."""
+
+    def __init__(self):
+        self.seen = {p: set() for p in Phase}
+        self.phases = []
+
+    def phase(self, phase, flow, seq, at_ns):
+        if (flow, seq) not in self.seen[phase]:
+            self.seen[phase].add((flow, seq))
+            self.phases.append((phase, flow, seq, at_ns))
+
+
+def test_phase_dedupe_equals_one_set_per_phase():
+    run = harness._Run(Scenario(engine="log", workload=Workload(), qos=QoSConfig()))
+    ref, confirmed = FiveSetPhases(), set()
+    rng = random.Random(5)
+    for _ in range(600):
+        run.clock.t += rng.choice([0, 0, 1, 50])
+        flow, seq, t = rng.choice(["f0", "f1"]), rng.randrange(4), run.clock.t
+        step = rng.choice(["produced", "handled", "handled and confirmed", "confirmed",
+                           "delivered", "acked"])
+        if step == "produced":
+            run.record_produced(Message(flow, seq))
+            ref.phase(Phase.T1_PRODUCED, flow, seq, t)
+        elif step.startswith("handled"):
+            confirms = step.endswith("confirmed")
+            # what `_Producer.attempt` records for each message of a batch
+            run.record_phases(flow, seq, harness._T2 | harness._T3 if confirms else harness._T2)
+            ref.phase(Phase.T2_HANDLED, flow, seq, t)
+            if confirms:
+                ref.phase(Phase.T3_CONFIRMED, flow, seq, t)
+        elif step == "confirmed":
+            run.record_confirmed(Message(flow, seq))
+            if (flow, seq) not in confirmed:
+                confirmed.add((flow, seq))
+                ref.phase(Phase.T3_CONFIRMED, flow, seq, t)
+        elif step == "delivered":
+            run.record_delivered(flow, seq)
+            for phase in (Phase.T2_HANDLED, Phase.T3_CONFIRMED, Phase.T4_DELIVERED):
+                ref.phase(phase, flow, seq, t)
+        else:
+            run.record_acked(flow, seq)
+            ref.phase(Phase.T5_ACKED_OR_RETAINED, flow, seq, t)
+    assert run.phases == ref.phases
+    assert {p.phase for p in run.phases} == set(Phase)
+    assert all(type(p) is harness.PhaseEvent for p in run.phases)
 
 
 def test_scenario_serialization_round_trip():

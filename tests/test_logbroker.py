@@ -413,6 +413,18 @@ def test_append_with_a_value_that_is_no_ack_mode_raises_as_before():
         eng.append_batch("t", 0, msgs("f", 0, 1), "quorum")
 
 
+def test_append_with_a_value_that_is_no_ack_mode_moves_no_replica():
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=3))
+    replicas = eng._topic("t").partitions[0].replicas
+    with pytest.raises(KeyError):
+        eng.append_batch("t", 0, msgs("f", 0, 2), "quorum")
+    assert [rep.next_offset for rep in replicas] == [0, 0, 0]
+    # so a retry with an ack mode stores the batch once
+    eng.append_batch("t", 0, msgs("f", 0, 2), LogAckMode.ACKS_QUORUM)
+    assert [rep.next_offset for rep in replicas] == [2, 2, 2]
+
+
 FLUSH_POLICIES = [
     FlushPolicy(flush_interval_messages=3, flush_interval_ms=None),
     FlushPolicy(flush_interval_messages=None, flush_interval_ms=5),
@@ -478,17 +490,15 @@ def test_the_quorum_offset_is_the_sorted_pick_over_every_ordering(rf):
 def reference_high_watermark(eng, floor):
     """The watermark by the sorted pick, with `floor` the reference's own
     record of the quorum offsets that crashes have since hidden; None when
-    it needs the leader and every replica is down."""
+    every replica is down."""
     part = eng._topic("t").partitions[0]
     rf = len(part.replicas)
-    hw = sorted(r.next_offset for r in part.replicas)[-quorum_size(rf)]
-    if rf > 1 and floor <= hw:
-        return hw
     leader_end = max((r.next_offset for r in part.replicas if eng.nodes[r.node_id].alive),
                      default=None)
     if leader_end is None or rf == 1:
         return leader_end
-    return min(floor, leader_end)
+    hw = sorted(r.next_offset for r in part.replicas)[-quorum_size(rf)]
+    return hw if floor <= hw else min(floor, leader_end)
 
 
 @pytest.mark.parametrize("rf", [2, 3])
@@ -740,6 +750,24 @@ def test_quorum_survives_minority_crash():
     eng.crash_node("n0")  # leader of partition 0
     out, _ = eng.fetch("t", 0, 0)
     assert [m.seq_no for m in out] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("rf", [2, 3])
+def test_high_watermark_raises_broker_down_when_every_replica_is_down(rf):
+    eng = make_engine()
+    eng.create_topic(TopicConfig("t", replication_factor=rf, flush=FlushPolicy(1, None)))
+    eng.append_batch("t", 0, msgs("f", 0, 4), LogAckMode.ACKS_QUORUM)
+    nodes = [rep.node_id for rep in eng._topic("t").partitions[0].replicas]
+    for node in nodes:
+        assert eng.high_watermark("t", 0) == 4
+        eng.crash_node(node)
+    # the flushed records survive, but no replica is up to serve them
+    with pytest.raises(BrokerDown):
+        eng.fetch("t", 0, 0)
+    with pytest.raises(BrokerDown):
+        eng.high_watermark("t", 0)
+    eng.restart_node(nodes[0])
+    assert eng.high_watermark("t", 0) == eng.fetch("t", 0, 0)[1] == 4
 
 
 def test_high_watermark_survives_replica_crash():
