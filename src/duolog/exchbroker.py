@@ -629,7 +629,7 @@ class _Routes:
             trie = _TopicTrie(b for b in bindings if b.pattern is not None)
             self.match = lambda msg: trie.match(msg.routing_key)
         elif kind is ExchangeKind.HEADERS:
-            self.match = self._match_headers
+            self.match = lambda msg: _match_headers(bindings, msg)
         else:
             slots = [
                 b.queue for b in sorted(bindings, key=lambda b: b.queue) for _ in range(b.weight)
@@ -638,17 +638,21 @@ class _Routes:
                 (slots[stable_hash64((msg.routing_key or "").encode()) % len(slots)],)
             )
 
-    def _match_headers(self, msg: Message) -> frozenset[str]:
-        out = set()
-        for b in self.bindings:
-            if not b.header_match:
-                continue
-            hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
-            if (b.match_mode is MatchMode.ALL and all(hits)) or (
-                b.match_mode is MatchMode.ANY and any(hits)
-            ):
-                out.add(b.queue)
-        return frozenset(out)
+
+def _match_headers(bindings: tuple, msg: Message) -> frozenset[str]:
+    """The queues of the headers `bindings` whose header match `msg` meets.
+    It is a function of the bindings, not a method of `_Routes`, so that a
+    table's matcher holds no reference back to the table."""
+    out = set()
+    for b in bindings:
+        if not b.header_match:
+            continue
+        hits = [msg.headers.get(k) == v for k, v in b.header_match.items()]
+        if (b.match_mode is MatchMode.ALL and all(hits)) or (
+            b.match_mode is MatchMode.ANY and any(hits)
+        ):
+            out.add(b.queue)
+    return frozenset(out)
 
 
 # the most routed sets a vhost maps to their queues, per binding; past it a
@@ -834,7 +838,10 @@ class ExchEngine(BrokerContract):
         """Declare exchanges, queues and bindings from a topology mapping
         (the JSON file schema)."""
         for _, error in _load(self, topology):
-            raise error
+            try:
+                raise error
+            finally:
+                del error  # its traceback holds this frame
 
     # -- routing ------------------------------------------------------------
 
@@ -959,13 +966,16 @@ class ExchEngine(BrokerContract):
                             if self.fsync_latency_ns:
                                 spin_ns(self.fsync_latency_ns)
                         if spec.mirrors:
-                            entry.mirrored_on = set()
+                            mirrored_on = entry.mirrored_on = set()
+                            mirror_down = False
                             for m in spec.mirrors:
                                 if self.nodes[m].alive:
-                                    entry.mirrored_on.add(m)
+                                    mirrored_on.add(m)
                                     if self.mirror_sync_ns:
                                         spin_ns(self.mirror_sync_ns)
-                            if set(spec.mirrors) - entry.mirrored_on:
+                                else:
+                                    mirror_down = True
+                            if mirror_down:
                                 raise BrokerDown(f"mirror of {spec.name} is down")
                         if spec.memory_cap_bytes is not None and spec.spill_to_disk:
                             q.spill(spec.memory_cap_bytes, self.bodies.spill)

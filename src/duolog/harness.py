@@ -660,11 +660,13 @@ class _Consumer:
 
 class _LogScenario(_Scenario):
     def __init__(self, run: _Run):
-        super().__init__(run)
         s = run.s
         self.topic = "t"
+        # the topology is read before the producers exist, so a scenario it
+        # refuses leaves no producer pointing back at a half-built adapter
         t = _log_topology(s.topology)
         self.engine, self.ack_mode = _log_engine(t, s.qos, run.clock.now, False, [self.topic])
+        super().__init__(run)
         self.batch_size = t["producer_batch"]
         self.keyed = s.qos.ordering in (Ordering.PER_PARTITION, Ordering.GLOBAL_SINGLE_LANE)
         members = [f"c{i}" for i in range(s.workload.consumers)]
@@ -774,11 +776,12 @@ class _ExchScenario(_Scenario):
     routing_key = "k"
 
     def __init__(self, run: _Run):
-        super().__init__(run)
         self.queue = "q"
+        # built before the producers, as the log adapter's engine is
         self.engine = build_exch_engine(
             run.s.topology, run.s.qos, run.clock.now, False, [("x", self.routing_key, self.queue)]
         )
+        super().__init__(run)
         # one channel per flow keeps each flow's publishes in order
         self.channels = {p.flow: self.engine.channel() for p in self.producers}
         ids = [f"c{i}" for i in range(run.s.workload.consumers)]
@@ -875,8 +878,15 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     the journals.  Deterministic under a fixed seed."""
     run = _Run(s)
     scenario = _LogScenario(run) if s.engine == "log" else _ExchScenario(run)
-    scenario.start()
-    run.run_loop()
+    try:
+        scenario.start()
+        run.run_loop()
+    finally:
+        # the producers and consumers point back at the scenario, and so do
+        # the events a raising run leaves queued; dropping them leaves no
+        # cycle, so reference counting frees the run
+        run.heap.clear()
+        del scenario.producers, scenario.consumers
     report = check_correctness(run.produced, run.consumed, s.qos)
     return ScenarioResult(
         produced=run.produced, consumed=run.consumed, phases=run.phases, report=report

@@ -84,6 +84,19 @@ def test_a_gain_within_the_parent_spread_or_with_too_few_wins_is_no_claim():
     assert not ab.compare(pairs, "higher")["claim"]
 
 
+def test_a_clear_gain_over_fewer_than_ten_pairs_is_no_claim():
+    # one pair: the interquartile range is 0, so any move would clear it
+    s = ab.compare([(100.0, 130.0)], "higher", 0.25)
+    assert s["change_better_pairs"] == 1 and s["parent_iqr_share"] == 0
+    assert not s["claim"] and " CLAIM" not in ab.report("throughput_per_s", s)
+    # four wins of four, each far past the parent's spread
+    s = ab.compare([(100 + i, 130 + i) for i in range(4)], "higher", 0.25)
+    assert s["change_better_pairs"] == 4 and not s["claim"]
+    assert not ab.compare([(10.0, 7.0)] * 9, "lower", 0.25)["claim"]
+    # the same gain over ten pairs is one
+    assert ab.compare([(100 + i, 130 + i) for i in range(10)], "higher", 0.25)["claim"]
+
+
 def test_lower_is_better_counts_wins_and_bounds_the_other_way():
     pairs = [(10.0, 13.0)] * 10  # 30% slower
     s = ab.compare(pairs, "lower", 0.25)

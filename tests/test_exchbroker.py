@@ -2,6 +2,7 @@
 consumption, acks, TTL, limits, spill, transactions and vhost isolation."""
 
 import dataclasses
+import gc
 import itertools
 import random
 import re
@@ -202,6 +203,28 @@ def test_headers_all_vs_any():
     with pytest.raises(Unroutable):
         eng.route("all", partial)
     assert eng.route("any", partial) == frozenset({"q"})
+
+
+@pytest.mark.parametrize("kind", [ExchangeKind.HEADERS, ExchangeKind.DIRECT,
+                                  ExchangeKind.FANOUT, ExchangeKind.CONSISTENT_HASH])
+def test_an_engine_with_bindings_is_freed_without_the_cyclic_collector(kind):
+    # each bind swaps in a new routing table: the old one, and at the end the
+    # engine, must be freed by reference counting (the topic automaton's
+    # states loop by design, so topic exchanges are left out)
+    gc.collect()
+    gc.disable()
+    try:
+        eng = make_engine()
+        eng.declare_exchange(ExchangeSpec("ex", kind))
+        for i in range(5):
+            eng.declare_queue(QueueSpec(f"q{i}"))
+            eng.bind(BindingSpec("ex", f"q{i}", key=f"k{i}", header_match={f"h{i}": 1},
+                                 match_mode=MatchMode.ANY))
+        eng.route("ex", msg(rk="k0", headers={"h0": 1}))
+        del eng
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_consistent_hash_deterministic_and_balanced():

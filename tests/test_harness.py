@@ -2,7 +2,9 @@
 timelines.  The full 1000-scenario sweeps live in the acceptance suite;
 these are targeted probes."""
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -284,6 +286,62 @@ def test_phase_timeline_digest_over_seeds_0_to_999_is_pinned(engine):
         for p in run_scenario(random_scenario(engine, seed)).phases:
             h.update(f"{p.phase.value},{p.flow},{p.seq},{p.at_ns}\n".encode())
     assert h.hexdigest() == PHASE_DIGESTS[engine]
+
+
+# --------------------------------------------------------------------------
+# a finished scenario is freed by reference counting
+# --------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def no_cyclic_garbage():
+    """Run the body with the cyclic collector off, then demand that it
+    finds nothing: everything the body dropped was freed by reference
+    counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_finished_scenarios_leave_no_cyclic_garbage(engine):
+    with no_cyclic_garbage():
+        for seed in range(100):
+            s = random_scenario(engine, seed)
+            result = run_scenario(s)
+            verdict(result.report, s.qos)
+            result.journals_blob()
+        del result
+
+
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_a_run_that_raises_leaves_no_cyclic_garbage(engine, monkeypatch):
+    adapter = harness._LogScenario if engine == "log" else harness._ExchScenario
+    send, calls = adapter.send, []
+
+    def failing_send(self, batch):
+        calls.append(batch)
+        if len(calls) == 3:  # mid-run, with producer and consumer events queued
+            raise RuntimeError("engine fault")
+        return send(self, batch)
+
+    monkeypatch.setattr(adapter, "send", failing_send)
+    s = random_scenario(engine, 1)
+    with no_cyclic_garbage(), pytest.raises(RuntimeError, match="engine fault"):
+        run_scenario(s)
+
+
+@pytest.mark.parametrize("engine, topology", [
+    ("log", {"partitons": 3}),
+    ("exch", {"mirrors": ["n9"]}),  # a mirror that is no node of the engine
+])
+def test_a_refused_topology_leaves_no_cyclic_garbage(engine, topology):
+    s = Scenario.from_dict({"engine": engine, "topology": topology})
+    with no_cyclic_garbage(), pytest.raises(ScenarioInvalid):
+        run_scenario(s)
 
 
 # --------------------------------------------------------------------------

@@ -14,15 +14,16 @@ metric, each time scaled by its run's `driver.host_speed`, and beside each
 of those its unscaled value as `<name>.raw`) the tool prints
 each side's quartiles, the parent's interquartile range as a share of its
 median, the change's median over the parent's, and the pairs the change won.
-A metric is flagged as a claim when the change won at least nine pairs in
-ten, its median moved by more than the parent's interquartile range and, if
-`BENCH_<workload>.json` holds an A/A entry (one whose description starts
-with `A/A:`), by more than the median move that the latest such entry
-recorded for the metric, which is printed beside it; it is flagged as worse
-when its median is worse by more than the metric's bound.  Beside
-each median ratio stands its 95% interval from a seeded paired bootstrap:
-the pairs resampled with replacement, the ratio of medians taken per
-resample, and the 2.5th and 97.5th percentiles of those ratios.
+A metric is flagged as a claim when there are at least ten pairs, the
+change won at least nine pairs in ten, its median moved by more than the
+parent's interquartile range and, if `BENCH_<workload>.json` holds an A/A
+entry (one whose description starts with `A/A:`), by more than the median
+move that the latest such entry recorded for the metric, which is printed
+beside it; it is flagged as worse when its median is worse by more than
+the metric's bound.  Beside each median ratio stands its 95% interval from
+a seeded paired bootstrap: the pairs resampled with replacement, the ratio
+of medians taken per resample, and the 2.5th and 97.5th percentiles of
+those ratios.
 
 Running a tree against itself (an A/A run) gives each metric's noise floor.
 `--record TEXT` appends the comparison, with TEXT as the change's
@@ -51,6 +52,7 @@ RAW = ".raw"  # suffix of a scaled metric's unscaled twin
 RESAMPLES = 2000  # bootstrap resamples per metric
 SEED = 0  # of the bootstrap's generator, so the same pairs give the same interval
 AA = "A/A:"  # how the description of a tree-against-itself entry starts
+MIN_CLAIM_PAIRS = 10  # fewer pairs cannot tell a move from the noise
 
 
 def last_result(stdout: str) -> dict:
@@ -141,7 +143,8 @@ def compare(pairs: list, better: str, bound: float | None = None,
         "ratio_ci95": bootstrap_ratio(pairs),
         "change_better_pairs": wins,
         "aa": aa,
-        "claim": (wins >= math.ceil(0.9 * len(pairs)) and sign * moved > spread
+        "claim": (len(pairs) >= MIN_CLAIM_PAIRS and wins >= math.ceil(0.9 * len(pairs))
+                  and sign * moved > spread
                   and (aa is None or sign * ratio > abs(aa))),
         "worse": bound is not None and -sign * ratio > bound,
     }
