@@ -6,16 +6,14 @@ after the workers join.  Latency is measured per message from production to
 delivery; only samples landing after the warmup window count.  Percentiles
 use the nearest-rank method.
 
-The measurement defaults come from the DUOLOG_PROFILE environment variable:
-the `desk` profile (default) runs 10 s with a 5 s warmup per point, `full`
-runs 60 s with a 30 s warmup.
+A point runs `DEFAULT_DURATION_S` (10 s) with a `DEFAULT_WARMUP_S` (5 s)
+warmup unless its spec sets `duration_s` or `warmup_s`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
 import threading
 import time
 from dataclasses import asdict, dataclass, replace
@@ -66,12 +64,9 @@ EXPORT_COLUMNS = (
 )
 
 
-def profile_defaults() -> tuple[float, float]:
-    """(duration_s, warmup_s) for the selected DUOLOG_PROFILE."""
-    profile = os.environ.get("DUOLOG_PROFILE", "desk").lower()
-    if profile == "full":
-        return 60.0, 30.0
-    return 10.0, 5.0
+# a point's measurement window and warmup when its spec sets neither
+DEFAULT_DURATION_S = 10.0
+DEFAULT_WARMUP_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -94,11 +89,10 @@ class WorkloadSpec:
 
     def resolved(self) -> "WorkloadSpec":
         duration, warmup = self.duration_s, self.warmup_s
-        d_default, w_default = profile_defaults()
         if duration is None:
-            duration = d_default
+            duration = DEFAULT_DURATION_S
         if warmup is None:
-            warmup = w_default
+            warmup = DEFAULT_WARMUP_S
         spec = replace(self, duration_s=duration, warmup_s=warmup)
         spec.validate()
         return spec

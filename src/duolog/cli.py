@@ -4,8 +4,8 @@ advisor together.
 Subcommands: verify, bench, model (fit | predict), advise, topo.
 Exit codes: 0 pass, 1 verified failure, 2 usage or I/O error, 3 advisor
 found no matching architecture.  File outputs are written atomically
-(temp + rename).  DUOLOG_PROFILE={desk|full} selects bench duration
-defaults.
+(temp + rename).  A bench point runs 10 s after a 5 s warmup unless
+`--duration` and `--warmup` say otherwise.
 """
 
 from __future__ import annotations

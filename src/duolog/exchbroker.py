@@ -104,7 +104,6 @@ class OverflowPolicy(Enum):
 
 
 class ConsumeMode(Enum):
-    PUSH = "push"
     PULL = "pull"
 
 
@@ -457,15 +456,13 @@ class _Entry:
 
 
 class _Consumer:
-    __slots__ = ("consumer_id", "mode", "prefetch", "auto_ack", "unacked", "inbox")
+    __slots__ = ("consumer_id", "prefetch", "auto_ack", "unacked")
 
-    def __init__(self, consumer_id: str, mode: ConsumeMode, prefetch: int, auto_ack: bool) -> None:
+    def __init__(self, consumer_id: str, prefetch: int, auto_ack: bool) -> None:
         self.consumer_id = consumer_id
-        self.mode = mode
         self.prefetch = prefetch
         self.auto_ack = auto_ack
         self.unacked = 0
-        self.inbox: list[Delivery] = []
 
 
 class _Queue:
@@ -495,7 +492,6 @@ class _Queue:
         self.entries: deque[_Entry] = deque()
         self.unacked: dict[int, tuple[_Entry, str]] = {}
         self.consumers: dict[str, _Consumer] = {}
-        self._rr: int = 0
         self.lock = threading.RLock()
         self.available = True
         self._mem = 0
@@ -690,11 +686,14 @@ class Channel:
         self.vhost = vhost
         self.next_publish_seq = 1
         self.tx_mode = False
-        self.tx_buffer: list[tuple] = []
+        self.tx_buffer: list[tuple] = []  # (exchange, msg, persistent) per publish
 
     def tx_select(self) -> None:
-        self.tx_mode = True
-        self.tx_buffer = []
+        """Enter transaction mode; on a channel already in it, as AMQP's
+        `tx.select`, keep what is buffered."""
+        if not self.tx_mode:
+            self.tx_mode = True
+            self.tx_buffer = []
 
 
 # --------------------------------------------------------------------------
@@ -740,7 +739,6 @@ class ExchEngine(BrokerContract):
         self._lock = threading.RLock()
         self._flow_cond = threading.Condition(self._lock)
         self._flow_blocked = False
-        self._pushers = 0  # PUSH consumers attached to any queue
         if spill_read_ns is None:
             spill_read_ns = SPILL_READ_NS if real else 0
         self.spill_read_ns = spill_read_ns
@@ -764,13 +762,11 @@ class ExchEngine(BrokerContract):
                         q.unacked.clear()
                         for cons in q.consumers.values():
                             cons.unacked = 0
-                            cons.inbox = []
                         for e in requeued:
                             self._requeue(q, e)
                         if promoted is not None:
                             self._drop(q.remove(lambda e: promoted not in e.mirrored_on))
                             q.home_node = promoted
-                            self._pump(q)
                         else:
                             q.available = False
             self._flow_update()
@@ -787,7 +783,6 @@ class ExchEngine(BrokerContract):
                         durable = q.spec.durable
                         self._drop(q.remove(lambda e: not (durable and e.fsynced)))
                         q.available = True
-                        self._pump(q)
             self._flow_update()
 
     def payload_bytes(self) -> int:
@@ -876,29 +871,21 @@ class ExchEngine(BrokerContract):
         """Publish on a channel; returns the publisher confirm, or None when
         the channel is in transaction mode (the publish is buffered)."""
         if channel.tx_mode:
-            channel.tx_buffer.append(("publish", exchange, msg, persistent))
+            channel.tx_buffer.append((exchange, msg, persistent))
             return None
         return self._do_publish(channel, exchange, msg, persistent)
 
-    def tx_ack(self, channel: Channel, queue: str, tag: int) -> None:
-        if not channel.tx_mode:
-            raise NotInTx("tx_ack before tx_select")
-        channel.tx_buffer.append(("ack", queue, tag))
-
     def tx_commit(self, channel: Channel) -> TxResult:
-        """Apply buffered publishes and acks in order.  An injected crash
-        mid-commit leaves a strict prefix applied; there is no atomicity."""
+        """Apply buffered publishes in order.  An injected crash mid-commit
+        leaves a strict prefix applied; there is no atomicity."""
         if not channel.tx_mode:
             raise NotInTx("tx_commit before tx_select")
         ops = channel.tx_buffer
         applied = 0
         try:
-            for op in ops:
+            for exchange, msg, persistent in ops:
                 self._fire_fault("tx_commit_op", channel.vhost)
-                if op[0] == "publish":
-                    self._do_publish(channel, op[1], op[2], op[3])
-                else:
-                    self.ack(op[1], op[2], vhost=channel.vhost)
+                self._do_publish(channel, exchange, msg, persistent)
                 applied += 1
         except BrokerDown:
             channel.tx_buffer = []
@@ -987,9 +974,6 @@ class ExchEngine(BrokerContract):
             if kept < n:
                 self.bodies.release(body, n - kept)
 
-        if self._pushers:
-            for q in targets:
-                self._pump(q)
         if self.memory_budget_bytes is not None:
             self._flow_update()
         if rejected:
@@ -1007,31 +991,27 @@ class ExchEngine(BrokerContract):
         auto_ack: bool = False,
         vhost: str = "/",
     ) -> "ConsumerHandle":
+        """Attach a consumer that takes deliveries by `pull`, at most
+        `prefetch` of them unacked at a time (any number with `auto_ack`).
+        Every consumer pulls, so `mode` is not read; it stays in the
+        signature because callers pass `ConsumeMode.PULL` positionally."""
+        if prefetch < 1:
+            raise ValueError(f"prefetch must be >= 1, got {prefetch!r}")
         q = self._queue(vhost, queue)
         with q.lock:
             if consumer_id in q.consumers:
                 raise ExchError(f"consumer {consumer_id} already attached to {queue}")
-            q.consumers[consumer_id] = _Consumer(consumer_id, mode, prefetch, auto_ack)
-        handle = ConsumerHandle(self, vhost, queue, consumer_id)
-        if mode is ConsumeMode.PUSH:
-            with self._lock:
-                self._pushers += 1
-            self._pump(q)
-            self._flow_update()
-        return handle
+            q.consumers[consumer_id] = _Consumer(consumer_id, prefetch, auto_ack)
+        return ConsumerHandle(self, vhost, queue, consumer_id)
 
     def cancel_consumer(self, handle: "ConsumerHandle") -> None:
         """Detach a consumer; its unacked deliveries go back to the queue."""
         q = self._queue(handle.vhost, handle.queue)
         with q.lock:
-            cons = q.consumers.pop(handle.consumer_id, None)
+            q.consumers.pop(handle.consumer_id, None)
             doomed = [tag for tag, (_, cid) in q.unacked.items() if cid == handle.consumer_id]
             for tag in doomed:
                 self._requeue(q, q.unacked.pop(tag)[0])
-        if cons is not None and cons.mode is ConsumeMode.PUSH:
-            with self._lock:
-                self._pushers -= 1
-        self._pump(q)
         self._flow_update()
 
     def pull(self, queue: str, consumer_id: str, max_n: int = 1, vhost: str = "/") -> list[Delivery]:
@@ -1063,16 +1043,6 @@ class ExchEngine(BrokerContract):
             self._flow_update()  # expiry and auto-ack released bodies
         return out
 
-    def drain_pushed(self, queue: str, consumer_id: str, vhost: str = "/") -> list[Delivery]:
-        """Take whatever the broker pushed into this consumer's inbox."""
-        q = self._queue(vhost, queue)
-        with q.lock:
-            cons = q.consumers.get(consumer_id)
-            if cons is None:
-                raise ExchError(f"consumer {consumer_id} not attached to {queue}")
-            out, cons.inbox = cons.inbox, []
-            return out
-
     def ack(self, queue: str, tag: int, vhost: str = "/") -> None:
         """Settle a delivery for good: release its body reference."""
         q = self._queue(vhost, queue)
@@ -1081,8 +1051,6 @@ class ExchEngine(BrokerContract):
             self.bodies.release(self._settle(q, tag).body, 1)
         finally:
             q.lock.release()
-        if self._pushers:
-            self._pump(q)
         if self.memory_budget_bytes is not None:
             self._flow_update()
 
@@ -1093,7 +1061,6 @@ class ExchEngine(BrokerContract):
         q = self._queue(vhost, queue)
         with q.lock:
             self._requeue(q, self._settle(q, tag))
-        self._pump(q)
         self._flow_update()
 
     def redeliver_unacked(self, queue: str, tag: int, vhost: str = "/") -> Optional[Delivery]:
@@ -1133,13 +1100,6 @@ class ExchEngine(BrokerContract):
             return sum(1 for e in q.entries if e.spilled)
 
     # -- internals ----------------------------------------------------------
-
-    def _deliver_next(self, q: _Queue, cons: _Consumer, now: int) -> Optional[Delivery]:
-        if q.deadlines:
-            self._drop(q.expire(now))
-        if not q.entries:
-            return None
-        return self._deliver(q, cons, q.pop_head())
 
     def _deliver(self, q: _Queue, cons: _Consumer, entry: _Entry) -> Delivery:
         """Deliver an entry taken off the queue's head to `cons`."""
@@ -1202,30 +1162,6 @@ class ExchEngine(BrokerContract):
             self.bodies.release(e.body, 1)
         return len(removed)
 
-    def _pump(self, q: _Queue) -> None:
-        """Push eager deliveries to PUSH consumers, round-robin, up to each
-        consumer's prefetch."""
-        if not self._pushers:
-            return
-        with q.lock:
-            pushers = [c for c in q.consumers.values() if c.mode is ConsumeMode.PUSH]
-            if not pushers or not q.available or not self.nodes[q.home_node].alive:
-                return
-            now = self.clock()
-            progress = True
-            while progress and q.entries:
-                progress = False
-                for i in range(len(pushers)):
-                    cons = pushers[(q._rr + i) % len(pushers)]
-                    if not cons.auto_ack and cons.unacked >= cons.prefetch:
-                        continue
-                    d = self._deliver_next(q, cons, now)
-                    if d is not None:
-                        cons.inbox.append(d)
-                        q._rr = (q._rr + i + 1) % len(pushers)
-                        progress = True
-                        break
-
     def _flow_gate(self) -> None:
         with self._flow_cond:
             while self._flow_blocked:
@@ -1271,9 +1207,9 @@ class ExchEngine(BrokerContract):
 class ConsumerHandle:
     """A consumer attached to one queue.
 
-    `pull`/`drain` hand out deliveries; `ack`/`nack` settle them by delivery
-    tag.  Acking the last owner of an entry lets the broker delete the
-    shared message body.
+    `pull` hands out deliveries; `ack`/`nack` settle them by delivery tag.
+    Acking the last owner of an entry lets the broker delete the shared
+    message body.
     """
 
     def __init__(self, engine: ExchEngine, vhost: str, queue: str, consumer_id: str) -> None:
@@ -1284,9 +1220,6 @@ class ConsumerHandle:
 
     def pull(self, max_n: int = 1) -> list[Delivery]:
         return self.engine.pull(self.queue, self.consumer_id, max_n, vhost=self.vhost)
-
-    def drain(self) -> list[Delivery]:
-        return self.engine.drain_pushed(self.queue, self.consumer_id, vhost=self.vhost)
 
     def ack(self, tag: int) -> None:
         self.engine.ack(self.queue, tag, vhost=self.vhost)

@@ -184,17 +184,14 @@ def test_workload_validation():
         WorkloadSpec(record_size_bytes=0).resolved()
 
 
-def test_profile_selects_duration_defaults(monkeypatch):
-    from duolog.bench import profile_defaults
+def test_profile_selects_duration_defaults():
+    from duolog.bench import DEFAULT_DURATION_S, DEFAULT_WARMUP_S
 
-    monkeypatch.delenv("DUOLOG_PROFILE", raising=False)
-    assert profile_defaults() == (10.0, 5.0)  # desk is the default
-    monkeypatch.setenv("DUOLOG_PROFILE", "full")
-    assert profile_defaults() == (60.0, 30.0)
+    assert (DEFAULT_DURATION_S, DEFAULT_WARMUP_S) == (10.0, 5.0)
     spec = WorkloadSpec().resolved()
-    assert (spec.duration_s, spec.warmup_s) == (60.0, 30.0)
-    monkeypatch.setenv("DUOLOG_PROFILE", "desk")
-    assert profile_defaults() == (10.0, 5.0)
+    assert (spec.duration_s, spec.warmup_s) == (10.0, 5.0)
+    spec = WorkloadSpec(duration_s=3, warmup_s=1).resolved()
+    assert (spec.duration_s, spec.warmup_s) == (3, 1)
 
 
 # --------------------------------------------------------------------------

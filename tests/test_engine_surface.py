@@ -19,11 +19,6 @@ KEEP = {
     # read the `.seg` files a restart will recover from (ROADMAP item 9)
     "segment_paths",
     "iter_records",
-    # the library surface of two exchange features that neither the harness
-    # nor the bench drives: a PUSH consumer's inbox read
-    # (`ConsumerHandle.drain`) and an ack inside a transaction
-    "drain",
-    "tx_ack",
     # references that tests compare against: a journal read back from its
     # JSON lines, and the advisor's table with each `*` cell expanded
     "from_jsonl",

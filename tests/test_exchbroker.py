@@ -36,7 +36,9 @@ from duolog.exchbroker import (
     OverflowPolicy,
     QueueSpec,
     SpecConflict,
+    TxResult,
     UnknownEntity,
+    UnknownExchange,
     UnknownTag,
     Unroutable,
     match_topic,
@@ -558,8 +560,8 @@ def test_delivery_tags_are_unique_across_queues():
 
 @pytest.mark.parametrize("auto_ack", [False, True])
 def test_a_pull_across_expired_entries_delivers_what_one_delivery_at_a_time_does(auto_ack):
-    # a push consumer takes one head at a time, expiring before each; a pull
-    # expires once and takes its heads in one loop.  Both read the clock once.
+    # a pull(1) takes one head, expiring before it; a batched pull expires
+    # once and takes its heads in one loop.  The clock does not move.
     def engine_at(now):
         eng = ExchEngine(3, clock=lambda: now[0], latency_mode="none")
         eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
@@ -574,15 +576,18 @@ def test_a_pull_across_expired_entries_delivers_what_one_delivery_at_a_time_does
         now[0] = 45 * 1_000_000
         return eng
 
-    pulled_eng, pushed_eng = engine_at([0]), engine_at([0])
+    pulled_eng, stepped_eng = engine_at([0]), engine_at([0])
     # up to the prefetch, or, with auto-ack, everything left
     pulled = pulled_eng.consume("q0", "c", ConsumeMode.PULL, prefetch=12, auto_ack=auto_ack).pull(40)
-    pushed = pushed_eng.consume("q0", "c", ConsumeMode.PUSH, prefetch=12, auto_ack=auto_ack).drain()
-    assert pulled == pushed and 0 < len(pulled) < 40
-    for eng in (pulled_eng, pushed_eng):
+    one_at_a_time = stepped_eng.consume("q0", "c", ConsumeMode.PULL, prefetch=12, auto_ack=auto_ack)
+    stepped = []
+    while got := one_at_a_time.pull(1):
+        stepped += got
+    assert pulled == stepped and 0 < len(pulled) < 40
+    for eng in (pulled_eng, stepped_eng):
         assert eng.queue_depth("q0") + len(pulled) < 40  # some expired
-    assert pulled_eng.queue_depth("q0") == pushed_eng.queue_depth("q0")
-    assert pulled_eng.bodies.count() == pushed_eng.bodies.count()
+    assert pulled_eng.queue_depth("q0") == stepped_eng.queue_depth("q0")
+    assert pulled_eng.bodies.count() == stepped_eng.bodies.count()
 
 
 # --------------------------------------------------------------------------
@@ -646,6 +651,18 @@ def test_prefetch_blocks_second_delivery_until_ack():
     assert len(cons.pull()) == 1
 
 
+@pytest.mark.parametrize("prefetch", [0, -1])
+def test_consume_refuses_a_prefetch_below_one(prefetch):
+    # such a manual-ack consumer could never receive
+    eng = make_engine()
+    chan = direct_setup(eng)
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    with pytest.raises(ValueError, match=f"prefetch must be >= 1, got {prefetch}"):
+        eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=prefetch)
+    # nothing was attached
+    assert len(eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=1).pull(5)) == 1
+
+
 def test_work_sharing_splits_entries():
     eng = make_engine()
     chan = direct_setup(eng)
@@ -666,16 +683,6 @@ def test_pull_on_empty_queue_returns_empty():
     direct_setup(eng)
     cons = eng.consume("q0", "c1", ConsumeMode.PULL)
     assert cons.pull() == []
-
-
-def test_push_mode_delivers_eagerly():
-    eng = make_engine()
-    chan = direct_setup(eng)
-    cons = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=5)
-    for i in range(3):
-        eng.publish(chan, "ex", msg(i, rk="k"))
-    got = cons.drain()
-    assert [d.message.seq_no for d in got] == [0, 1, 2]
 
 
 def test_ack_decrements_queue_and_double_ack_fails():
@@ -981,53 +988,30 @@ def test_tx_crash_mid_commit_leaves_prefix():
     assert [d.message.seq_no for d in cons.pull(10)] == [0, 1]
 
 
-@pytest.mark.parametrize("crash_at_ack", [False, True])
-def test_tx_commit_applies_publish_ack_publish_in_order(crash_at_ack):
-    eng = make_engine()
-    chan = direct_setup(eng)
-    eng.publish(chan, "ex", msg(0, rk="k"))
-    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
-    (held,) = cons.pull(10)
-    chan.tx_select()
-    eng.publish(chan, "ex", msg(1, rk="k"))
-    eng.tx_ack(chan, "q0", held.tag)
-    eng.publish(chan, "ex", msg(2, rk="k"))
-    calls = [0]
-
-    def boom(phase, target):
-        if phase == "tx_commit_op":
-            calls[0] += 1
-            if crash_at_ack and calls[0] == 2:  # the ack
-                raise BrokerDown("injected")
-
-    eng.fault_hook = boom
-    result = eng.tx_commit(chan)
-    eng.fault_hook = None
-    if crash_at_ack:
-        # only the first publish landed: the held delivery is still unacked
-        assert (result.applied, result.complete) == (1, False)
-        assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (1, 1)
-        assert [d.message.seq_no for d in cons.pull(10)] == [1]
-    else:
-        assert (result.applied, result.complete) == (3, True)
-        assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (2, 0)
-        assert [d.message.seq_no for d in cons.pull(10)] == [1, 2]
-
-
 def test_tx_commit_stopped_by_an_error_that_is_not_a_crash_keeps_the_transaction():
     eng = make_engine()
     chan = direct_setup(eng)
     chan.tx_select()
     eng.publish(chan, "ex", msg(0, rk="k"))
-    eng.tx_ack(chan, "q0", 999)  # no such delivery
-    eng.publish(chan, "ex", msg(1, rk="k"))
-    with pytest.raises(UnknownTag):
+    eng.publish(chan, "nowhere", msg(1, rk="k"))  # no such exchange
+    eng.publish(chan, "ex", msg(2, rk="k"))
+    with pytest.raises(UnknownExchange):
         eng.tx_commit(chan)
-    # the ops before the error applied; the channel is still in tx mode
-    # with its whole buffer, so a later publish is buffered too
+    # the publishes before the error applied; the channel is still in tx
+    # mode with its whole buffer, so a later publish is buffered too
     assert eng.queue_depth("q0") == 1
     assert chan.tx_mode and len(chan.tx_buffer) == 3
-    assert eng.publish(chan, "ex", msg(2, rk="k")) is None
+    assert eng.publish(chan, "ex", msg(3, rk="k")) is None
+    assert eng.queue_depth("q0") == 1
+
+
+def test_a_second_tx_select_keeps_the_buffered_publishes():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    chan.tx_select()  # idempotent, as AMQP's tx.select
+    assert eng.tx_commit(chan) == TxResult(applied=1, total=1, complete=True)
     assert eng.queue_depth("q0") == 1
 
 
@@ -1121,52 +1105,29 @@ def test_mirror_promotion_keeps_accepted_entries():
     assert [d.message.seq_no for d in cons.pull(10)] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("mirrors", [(), ("n1",)], ids=["restart", "promotion"])
-def test_push_consumer_is_pushed_again_after_a_failover(mirrors):
+@pytest.mark.parametrize("how", ["restart", "promotion", "cancel"])
+def test_unacked_deliveries_go_back_in_place_for_the_next_pull(how):
+    # a home-node crash voids its queue's deliveries, as a cancel voids its
+    # consumer's; either way they are requeued ahead of what was not sent
     eng = make_engine()
     eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
-    eng.declare_queue(QueueSpec("q0", durable=True, mirrors=mirrors))
+    eng.declare_queue(QueueSpec("q0", durable=True, mirrors=("n1",) if how == "promotion" else ()))
     eng.bind(BindingSpec("ex", "q0", key="k"))
     chan = eng.channel()
-    cons = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=2)
     for i in range(4):
         eng.publish(chan, "ex", msg(i, rk="k"), persistent=True)
-    assert [d.message.seq_no for d in cons.drain()] == [0, 1]
-    home = home_node_of(eng, "q0")
-    eng.crash_node(home)
-    if not mirrors:
-        eng.restart_node(home)
-    # the crash voided the two deliveries; they go out again without
-    # waiting on another publish
-    assert [d.message.seq_no for d in cons.drain()] == [0, 1]
-    assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (2, 2)
-
-
-def test_a_down_queue_pushes_nothing_and_its_restart_pushes_what_survived():
-    eng = make_engine()
-    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
-    eng.declare_queue(QueueSpec("q0", durable=True))
-    eng.bind(BindingSpec("ex", "q0", key="k"))
-    chan = eng.channel()
-    eng.publish(chan, "ex", msg(0, rk="k"), persistent=True)
-    eng.publish(chan, "ex", msg(1, rk="k"), persistent=False)  # lost on restart
-    home = home_node_of(eng, "q0")
-    eng.crash_node(home)
-    cons = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=5)
-    assert cons.drain() == []  # as a pull raises BrokerDown
-    eng.restart_node(home)
-    assert [d.message.seq_no for d in cons.drain()] == [0]
-
-
-def test_cancel_pushes_its_requeued_deliveries_to_another_push_consumer():
-    eng = make_engine()
-    chan = direct_setup(eng)
-    first = eng.consume("q0", "c1", ConsumeMode.PUSH, prefetch=2)
-    for i in range(2):
-        eng.publish(chan, "ex", msg(i, rk="k"))
-    second = eng.consume("q0", "c2", ConsumeMode.PUSH, prefetch=2)
-    eng.cancel_consumer(first)
-    assert [d.message.seq_no for d in second.drain()] == [0, 1]
+    first = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=2)
+    assert [d.message.seq_no for d in first.pull(4)] == [0, 1]
+    if how == "cancel":
+        eng.cancel_consumer(first)
+    else:
+        home = home_node_of(eng, "q0")
+        eng.crash_node(home)
+        if how == "restart":
+            eng.restart_node(home)
+    second = eng.consume("q0", "c2", ConsumeMode.PULL, prefetch=4)
+    got = [(d.message.seq_no, d.redelivered) for d in second.pull(4)]
+    assert got == [(0, True), (1, True), (2, False), (3, False)]
 
 
 def test_broker_deletes_state_after_full_ack_cycle():
