@@ -988,6 +988,39 @@ def test_tx_crash_mid_commit_leaves_prefix():
     assert [d.message.seq_no for d in cons.pull(10)] == [0, 1]
 
 
+@pytest.mark.parametrize("crash_at_second", [False, True])
+def test_tx_commit_applies_publishes_in_order_while_an_ack_settles_at_once(crash_at_second):
+    # a consumer's ack is not part of the channel's transaction: it settles
+    # when it is made, between the buffered publishes
+    eng = make_engine()
+    chan = direct_setup(eng)
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=10)
+    (held,) = cons.pull(10)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(1, rk="k"))
+    cons.ack(held.tag)
+    assert (eng.queue_depth("q0"), eng.unacked_count("q0")) == (0, 0)
+    eng.publish(chan, "ex", msg(2, rk="k"))
+    calls = [0]
+
+    def boom(phase, target):
+        if phase == "tx_commit_op":
+            calls[0] += 1
+            if crash_at_second and calls[0] == 2:
+                raise BrokerDown("injected")
+
+    eng.fault_hook = boom
+    result = eng.tx_commit(chan)
+    eng.fault_hook = None
+    if crash_at_second:
+        assert (result.applied, result.complete) == (1, False)
+        assert [d.message.seq_no for d in cons.pull(10)] == [1]
+    else:
+        assert (result.applied, result.complete) == (2, True)
+        assert [d.message.seq_no for d in cons.pull(10)] == [1, 2]
+
+
 def test_tx_commit_stopped_by_an_error_that_is_not_a_crash_keeps_the_transaction():
     eng = make_engine()
     chan = direct_setup(eng)
@@ -1128,6 +1161,23 @@ def test_unacked_deliveries_go_back_in_place_for_the_next_pull(how):
     second = eng.consume("q0", "c2", ConsumeMode.PULL, prefetch=4)
     got = [(d.message.seq_no, d.redelivered) for d in second.pull(4)]
     assert got == [(0, True), (1, True), (2, False), (3, False)]
+
+
+def test_a_down_queue_delivers_nothing_and_its_restart_delivers_what_survived():
+    eng = make_engine()
+    eng.declare_exchange(ExchangeSpec("ex", ExchangeKind.DIRECT))
+    eng.declare_queue(QueueSpec("q0", durable=True))
+    eng.bind(BindingSpec("ex", "q0", key="k"))
+    chan = eng.channel()
+    eng.publish(chan, "ex", msg(0, rk="k"), persistent=True)
+    eng.publish(chan, "ex", msg(1, rk="k"), persistent=False)  # lost on restart
+    home = home_node_of(eng, "q0")
+    eng.crash_node(home)
+    cons = eng.consume("q0", "c1", ConsumeMode.PULL, prefetch=5)  # attaches while down
+    with pytest.raises(BrokerDown):
+        cons.pull(5)
+    eng.restart_node(home)
+    assert [d.message.seq_no for d in cons.pull(5)] == [0]
 
 
 def test_broker_deletes_state_after_full_ack_cycle():
