@@ -871,13 +871,18 @@ class ExchEngine(BrokerContract):
         """Publish on a channel; returns the publisher confirm, or None when
         the channel is in transaction mode (the publish is buffered)."""
         if channel.tx_mode:
+            # a bad message is refused now, as outside a transaction, and
+            # not left in the buffer to fail the commit
+            validate_message(msg)
             channel.tx_buffer.append((exchange, msg, persistent))
             return None
         return self._do_publish(channel, exchange, msg, persistent)
 
     def tx_commit(self, channel: Channel) -> TxResult:
         """Apply buffered publishes in order.  An injected crash mid-commit
-        leaves a strict prefix applied; there is no atomicity."""
+        leaves a strict prefix applied; there is no atomicity.  Any other
+        error keeps the channel in transaction mode with the publishes it
+        did not apply, so a retried commit applies each publish once."""
         if not channel.tx_mode:
             raise NotInTx("tx_commit before tx_select")
         ops = channel.tx_buffer
@@ -891,6 +896,10 @@ class ExchEngine(BrokerContract):
             channel.tx_buffer = []
             channel.tx_mode = False
             return TxResult(applied=applied, total=len(ops), complete=False)
+        except BaseException:
+            # not a crash: the transaction stays open with what it did not apply
+            del ops[:applied]
+            raise
         channel.tx_buffer = []
         channel.tx_mode = False
         return TxResult(applied=applied, total=len(ops), complete=True)

@@ -7,10 +7,11 @@ crashes consumers at chosen points.  Everything — scheduling jitter,
 backoff, fault timing — comes from the scenario seed and a logical clock,
 so the same (scenario, seed) pair always yields byte-identical journals.
 
-The run records the ownership-transfer timeline per message: produced,
+The run logs the ownership-transfer timeline per message: produced,
 handled by the broker, confirmed to the producer, delivered to a consumer,
 and finally acknowledged (exchange engine) or retained until expiry (log
-engine, which keeps no consumer state).
+engine, which keeps no consumer state).  The log is one record per event;
+the timeline of `PhaseEvent`s is built from it only when it is read.
 """
 
 from __future__ import annotations
@@ -129,6 +130,27 @@ class PhaseEvent(NamedTuple):
     at_ns: int
 
 
+def _expand_phases(log: list) -> list[PhaseEvent]:
+    """The timeline a run's phase log stands for: replaying its
+    `(flow, seq, mask, at_ns)` records in order, each phase of a mask not
+    yet reached by its (flow, seq), in phase order, at the record's time."""
+    # (flow, seq) -> the phases already reached, bit `p` set for the phase
+    # whose int value is `p`
+    seen: dict[tuple, int] = {}
+    get = seen.get
+    phases: list[PhaseEvent] = []
+    append = phases.append
+    for flow, seq, mask, t in log:
+        key = (flow, seq)
+        had = get(key, 0)
+        new = mask & ~had
+        if new:
+            seen[key] = had | new
+            for phase in _MASK_PHASES[new]:
+                append(_new_tuple(PhaseEvent, (phase, flow, seq, t)))
+    return phases
+
+
 @dataclass(frozen=True)
 class Workload:
     """How many producers and consumers a scenario runs, the record size,
@@ -228,8 +250,18 @@ def _fault_list(faults) -> list:
 class ScenarioResult:
     produced: Journal
     consumed: Journal
-    phases: list
+    phase_log: list  # the run's (flow, seq, mask, at_ns) phase records
     report: CorrectnessReport
+
+    def __post_init__(self) -> None:
+        self._phases: Optional[list] = None  # `phases`, once it is read
+
+    @property
+    def phases(self) -> list[PhaseEvent]:
+        """The T1–T5 timeline, built from `phase_log` on the first read."""
+        if self._phases is None:
+            self._phases = _expand_phases(self.phase_log)
+        return self._phases
 
     def journals_blob(self) -> str:
         return self.produced.to_jsonl() + "--\n" + self.consumed.to_jsonl()
@@ -362,10 +394,7 @@ class _Run:
         self._seq = itertools.count()
         self.produced = Journal()
         self.consumed = Journal()
-        self.phases: list[PhaseEvent] = []
-        # (flow, seq) -> the phases already recorded for it, bit `p` set
-        # for the phase whose int value is `p`
-        self._phase_mask: dict[tuple, int] = {}
+        self.phase_log: list[tuple] = []  # see `record_phases`
         self.produce_attempts = 0
         self.deliveries = 0
         self.drain_deadline: Optional[int] = None
@@ -400,18 +429,16 @@ class _Run:
 
     # -- recording ----------------------------------------------------------
 
+    @property
+    def phases(self) -> list[PhaseEvent]:
+        """The timeline logged so far, built anew on each read, as the run
+        may still be logging."""
+        return _expand_phases(self.phase_log)
+
     def record_phases(self, flow: str, seq: int, mask: int) -> None:
-        """Record, in phase order and at this instant, each phase of `mask`
-        not yet recorded for (flow, seq)."""
-        key = (flow, seq)
-        seen = self._phase_mask.get(key, 0)
-        new = mask & ~seen
-        if new:
-            self._phase_mask[key] = seen | new
-            t = self.clock.t
-            append = self.phases.append
-            for phase in _MASK_PHASES[new]:
-                append(_new_tuple(PhaseEvent, (phase, flow, seq, t)))
+        """Log that (flow, seq) reached each phase of `mask` at this
+        instant; `phases` keeps the first time it reached each."""
+        self.phase_log.append((flow, seq, mask, self.clock.t))
 
     def record_produced(self, msg: Message) -> None:
         self.produced.append(msg.flow_id, msg.seq_no, JournalEvent.PRODUCED, self.clock.t)
@@ -889,7 +916,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
         del scenario.producers, scenario.consumers
     report = check_correctness(run.produced, run.consumed, s.qos)
     return ScenarioResult(
-        produced=run.produced, consumed=run.consumed, phases=run.phases, report=report
+        produced=run.produced, consumed=run.consumed, phase_log=run.phase_log, report=report
     )
 
 

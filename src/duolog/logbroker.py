@@ -589,16 +589,6 @@ class LogEngine(BrokerContract):
                         if leader is not rep:
                             self._catch_up(rep, leader, topic.config)
 
-    def payload_bytes(self) -> int:
-        total = 0
-        with self._lock:
-            for topic in self.topics.values():
-                for part in topic.partitions:
-                    with part.lock:
-                        for rep in part.replicas:
-                            total += rep.total_bytes()
-        return total
-
     # -- topics ------------------------------------------------------------
 
     def create_topic(self, cfg: TopicConfig) -> Topic:

@@ -14,6 +14,7 @@ import pytest
 
 from duolog.core import (
     BrokerDown,
+    EmptyRoutingSegment,
     Journal,
     JournalEvent,
     Message,
@@ -1030,11 +1031,42 @@ def test_tx_commit_stopped_by_an_error_that_is_not_a_crash_keeps_the_transaction
     eng.publish(chan, "ex", msg(2, rk="k"))
     with pytest.raises(UnknownExchange):
         eng.tx_commit(chan)
-    # the publishes before the error applied; the channel is still in tx
-    # mode with its whole buffer, so a later publish is buffered too
+    # the publishes before the error applied and left the buffer; the
+    # channel is still in tx mode with the two it did not apply, so a later
+    # publish is buffered too
     assert eng.queue_depth("q0") == 1
-    assert chan.tx_mode and len(chan.tx_buffer) == 3
+    assert chan.tx_mode and [m.seq_no for _, m, _ in chan.tx_buffer] == [1, 2]
     assert eng.publish(chan, "ex", msg(3, rk="k")) is None
+    assert eng.queue_depth("q0") == 1
+
+
+def test_a_commit_retried_after_an_error_that_is_not_a_crash_publishes_each_message_once():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    eng.consume("q0", "c", ConsumeMode.PULL, prefetch=100, auto_ack=True)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    eng.publish(chan, "nowhere", msg(1, rk="k"))  # no such exchange
+    with pytest.raises(UnknownExchange):
+        eng.tx_commit(chan)
+    got = [d.message.seq_no for d in eng.pull("q0", "c", 10)]
+    # drop the publish that failed, and commit what is left
+    chan.tx_buffer[:] = [op for op in chan.tx_buffer if op[0] != "nowhere"]
+    eng.tx_commit(chan)
+    got += [d.message.seq_no for d in eng.pull("q0", "c", 10)]
+    assert got == [0]
+    assert not chan.tx_mode and eng.queue_depth("q0") == 0
+
+
+def test_a_transactional_publish_refuses_an_invalid_message_at_once():
+    eng = make_engine()
+    chan = direct_setup(eng)
+    chan.tx_select()
+    eng.publish(chan, "ex", msg(0, rk="k"))
+    with pytest.raises(EmptyRoutingSegment):
+        eng.publish(chan, "ex", msg(1, rk="a..b"))
+    assert [m.seq_no for _, m, _ in chan.tx_buffer] == [0]
+    assert eng.tx_commit(chan) == TxResult(applied=1, total=1, complete=True)
     assert eng.queue_depth("q0") == 1
 
 

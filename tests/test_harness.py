@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -456,6 +457,92 @@ def test_phase_dedupe_equals_one_set_per_phase():
     assert run.phases == ref.phases
     assert {p.phase for p in run.phases} == set(Phase)
     assert all(type(p) is harness.PhaseEvent for p in run.phases)
+
+
+class EagerPhases:
+    """The recorder that the phase log replaced: each call expands at once,
+    at the clock's time of the call, deduplicated by one mask per
+    (flow, seq)."""
+
+    def __init__(self):
+        self.phases = []
+        self._phase_mask = {}
+
+    def record(self, flow, seq, mask, t):
+        key = (flow, seq)
+        seen = self._phase_mask.get(key, 0)
+        new = mask & ~seen
+        if new:
+            self._phase_mask[key] = seen | new
+            for phase in harness._MASK_PHASES[new]:
+                self.phases.append(harness.PhaseEvent(phase, flow, seq, t))
+
+
+def crash_seeds(engine, count):
+    """The first `count` seeds whose random scenario crashes a node or a
+    consumer."""
+    crashes = {FaultKind.CRASH_NODE, FaultKind.CRASH_CONSUMER}
+    seeds = (seed for seed in itertools.count()
+             if any(ev.kind in crashes for ev in random_scenario(engine, seed).faults.events))
+    return list(itertools.islice(seeds, count))
+
+
+@pytest.mark.parametrize("engine", ["log", "exch"])
+def test_the_timeline_built_on_read_equals_the_eager_recorder(engine, monkeypatch):
+    record_phases = harness._Run.record_phases
+    eager = None
+
+    def record_both(self, flow, seq, mask):
+        eager.record(flow, seq, mask, self.clock.t)
+        record_phases(self, flow, seq, mask)
+
+    monkeypatch.setattr(harness._Run, "record_phases", record_both)
+    for seed in crash_seeds(engine, 200):
+        eager = EagerPhases()
+        res = run_scenario(random_scenario(engine, seed))
+        assert res.phases == eager.phases, seed
+
+
+def test_a_scenario_builds_no_phase_event_until_its_timeline_is_read(monkeypatch):
+    expand = harness._expand_phases
+    calls = []
+
+    def counted(log):
+        calls.append(len(log))
+        return expand(log)
+
+    def phase_events():
+        gc.collect()
+        return sum(type(o) is harness.PhaseEvent for o in gc.get_objects())
+
+    monkeypatch.setattr(harness, "_expand_phases", counted)
+    before = phase_events()
+    results = []
+    for engine in ("log", "exch"):
+        for seed in range(20):
+            s = random_scenario(engine, seed)
+            res = run_scenario(s)
+            verdict(res.report, s.qos)
+            res.journals_blob()
+            results.append(res)
+    assert calls == []
+    assert phase_events() == before
+    first = results[-1].phases
+    assert first and all(type(p) is harness.PhaseEvent for p in first)
+    assert results[-1].phases is first and len(calls) == 1  # built once
+
+
+def test_a_run_reads_its_timeline_alike_twice_and_as_far_as_it_has_logged():
+    run = harness._Run(Scenario(engine="log", workload=Workload(), qos=QoSConfig()))
+    run.record_produced(Message("f", 0))
+    assert run.phases == run.phases == [harness.PhaseEvent(Phase.T1_PRODUCED, "f", 0, 1)]
+    run.clock.t = 5
+    run.record_delivered("f", 0)
+    assert run.phases == run.phases
+    assert [(p.phase, p.at_ns) for p in run.phases] == [
+        (Phase.T1_PRODUCED, 1), (Phase.T2_HANDLED, 5), (Phase.T3_CONFIRMED, 5),
+        (Phase.T4_DELIVERED, 5),
+    ]
 
 
 def test_scenario_serialization_round_trip():

@@ -1066,7 +1066,8 @@ def test_replicas_share_each_encoded_record():
         assert shares_records(leader, records)
     # shared objects, but each replica's logical bytes still count
     one_copy = sum(len(rec) for _, rec in leader)
-    assert eng.payload_bytes() == 3 * one_copy
+    part = eng._topic("t").partitions[0]
+    assert sum(r.total_bytes() for r in part.replicas) == 3 * one_copy
 
 
 def test_follower_crash_and_restart_leave_leader_records_intact():
@@ -1120,13 +1121,14 @@ def test_storage_independent_of_group_count():
     eng = make_engine()
     eng.create_topic(TopicConfig("t"))
     eng.append_batch("t", 0, msgs("f", 0, 50, payload=b"z" * 64))
-    before = eng.payload_bytes()
+    part = eng._topic("t").partitions[0]
+    before = sum(r.total_bytes() for r in part.replicas)
     for g in range(5):
         eng.assign_partitions(f"g{g}", "t", [f"c{g}"])
         got, _ = eng.fetch("t", 0, 0, max_bytes=1 << 30)
         assert len(got) == 50
         eng.commit_offset(f"g{g}", f"c{g}", "t", 0, 50)
-    assert eng.payload_bytes() == before
+    assert sum(r.total_bytes() for r in part.replicas) == before
 
 
 # --------------------------------------------------------------------------
